@@ -35,7 +35,7 @@ from .emdut_hd import (
     hyperplanes_linf,
     rotate_45_to_l1,
 )
-from .envelope import LinearFn, NaiveEnvelope, SuffixEnvelope, TreeEnvelope, build
+from .envelope import NaiveEnvelope, TreeEnvelope
 from .hardness import (
     GadgetInstance,
     Graph,

@@ -6,17 +6,25 @@ injective blue-to-red matching):
 * ``emd_1d_monotone``  -- 1D dynamic program over sorted orders; an
   optimal matching always exists that is monotone, so the DP is exact.
 * ``emd_hungarian``    -- general-dimension mincost matching via shortest
-  augmenting paths with exact rational potentials.
+  augmenting paths with exact integer potentials.
 * ``emd_bruteforce``   -- factorial enumeration, the test oracle.
+
+Every cost matrix, here and in the translation solvers, comes from
+:func:`_cost_matrix`.  Every Hungarian solve runs on integer-scaled costs
+(:func:`_as_int_matrix` multiplies by the lcm of the denominators), and
+the lexicographically smallest optimal witness comes from that same
+single solve: :func:`_lex_min_assignment` appends the assignment, read as
+a base-n number, below the lowest digit of the scaled cost.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Matching, Metric, PointSet, lp_distance
+from .core import Matching, Metric, PointSet
 
 _INF = float("inf")  # comparison-only sentinel; never mixed into results
 
@@ -68,11 +76,12 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
     return value, tuple(assignment)
 
 
-def _min_cost_assignment(cost: Sequence[Sequence]) -> tuple[Fraction, list[int]]:
+def _min_cost_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """Rectangular (m <= n) mincost assignment by shortest augmenting paths.
 
-    Potentials and reduced costs stay exact rationals (or ints); float
-    infinity appears only as an untouched-column sentinel in comparisons.
+    Callers pass integer costs, so potentials and reduced costs stay exact
+    ints of any size; float infinity appears only as an untouched-column
+    sentinel in comparisons, which Python makes exactly against ints.
     Unmatched columns behave like zero-cost dummy rows, which is exactly
     the padding semantics the EMD contract asks for.
     """
@@ -124,39 +133,44 @@ def _min_cost_assignment(cost: Sequence[Sequence]) -> tuple[Fraction, list[int]]
     for j in range(1, n + 1):
         if match_row[j]:
             assignment[match_row[j] - 1] = j - 1
-    total = sum((cost[i][assignment[i]] for i in range(m)), Fraction(0))
-    return total, assignment
+    return sum(cost[i][assignment[i]] for i in range(m)), assignment
 
 
-def _cost_matrix(blue: PointSet, red: PointSet, metric: Metric) -> list[list[Fraction]]:
-    return [
-        [lp_distance(b, r, metric) for r in red.points] for b in blue.points
-    ]
+def _cost_matrix(blues, reds, metric: Metric, tau=None) -> list[list]:
+    """Distances from each blue (shifted by ``tau``) to each red.
+
+    Points are coordinate tuples of ints or Fractions; entries keep their type.
+    """
+    if tau is not None:
+        blues = [tuple(c + t for c, t in zip(b, tau)) for b in blues]
+    agg = sum if metric is Metric.L1 else max
+    return [[agg([abs(x - y) for x, y in zip(b, r)]) for r in reds] for b in blues]
 
 
-def _lex_min_assignment(cost: Sequence[Sequence], best: Fraction) -> list[int]:
-    """Lexicographically smallest assignment list achieving the optimum."""
+def _as_int_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(integer matrix, den) with rows == integer matrix / den exactly."""
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _lex_min_assignment(cost: Sequence[Sequence]) -> tuple[Fraction, list[int]]:
+    """Optimal value and the lexicographically smallest optimal assignment.
+
+    One solve on the integer costs c*n^m + j*n^(m-1-i): the perturbations
+    of any assignment sum to that assignment read as a base-n number,
+    which stays below n^m, so the perturbed optimum is the smallest
+    optimal assignment and the optimal value is total // n^m.
+    """
     m = len(cost)
-    n = len(cost[0]) if m else 0
-    chosen: list[int] = []
-    used: set[int] = set()
-    fixed_cost = Fraction(0)
-    for i in range(m):
-        free_cols = [j for j in range(n) if j not in used]
-        for j in free_cols:
-            remainder = fixed_cost + cost[i][j]
-            rows = [
-                [cost[r][c] for c in free_cols if c != j] for r in range(i + 1, m)
-            ]
-            completion = _min_cost_assignment(rows)[0] if rows else Fraction(0)
-            if remainder + completion == best:
-                chosen.append(j)
-                used.add(j)
-                fixed_cost = remainder
-                break
-        else:  # pragma: no cover - best is always attainable
-            raise AssertionError("no completion reaches the optimal value")
-    return chosen
+    n = len(cost[0])
+    ints, den = _as_int_matrix(cost)
+    scale = n**m
+    perturbed = []
+    for i, row in enumerate(ints):
+        digit = n ** (m - 1 - i)
+        perturbed.append([c * scale + j * digit for j, c in enumerate(row)])
+    total, assignment = _min_cost_assignment(perturbed)
+    return Fraction(total // scale, den), assignment
 
 
 def emd_hungarian(
@@ -177,9 +191,9 @@ def emd_hungarian(
         raise ValueError(f"|B| = {m} exceeds |R| = {n}")
     if m == 0:
         return Fraction(0), ()
-    cost = _cost_matrix(blue, red, metric)
-    value, _ = _min_cost_assignment(cost)
-    return value, tuple(_lex_min_assignment(cost, value))
+    cost = _cost_matrix(blue.points, red.points, metric)
+    value, assignment = _lex_min_assignment(cost)
+    return value, tuple(assignment)
 
 
 def emd_bruteforce(blue: PointSet, red: PointSet, metric: Metric) -> Fraction:
@@ -193,7 +207,7 @@ def emd_bruteforce(blue: PointSet, red: PointSet, metric: Metric) -> Fraction:
         raise ValueError(f"|R| = {n} exceeds the brute-force guard of 8")
     if m == 0:
         return Fraction(0)
-    cost = _cost_matrix(blue, red, metric)
+    cost = _cost_matrix(blue.points, red.points, metric)
     best = None
     for perm in itertools.permutations(range(n), m):
         total = Fraction(0)

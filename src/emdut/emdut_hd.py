@@ -22,7 +22,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import Matching, Metric, Point, PointSet, zero_point
-from .emd import _lex_min_assignment, _min_cost_assignment
+from .emd import (
+    _as_int_matrix,
+    _cost_matrix,
+    _lex_min_assignment,
+    _min_cost_assignment,
+)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -45,13 +50,6 @@ class Hyperplane:
 
     normal: tuple[Fraction, ...]
     offset: Fraction
-
-    @classmethod
-    def canonical(cls, normal: Sequence[Fraction], offset: Fraction) -> "Hyperplane":
-        lead = next((c for c in normal if c != 0), None)
-        if lead is None:
-            raise ValueError("hyperplane normal must be nonzero")
-        return cls(tuple(c / lead for c in normal), offset / lead)
 
 
 def _axis_planes(blue: PointSet, red: PointSet) -> list[Hyperplane]:
@@ -170,42 +168,15 @@ def candidate_translations(
     return arrangement_vertices(hyperplanes_linf(blue, red), d, budget)
 
 
-def _translated_cost(blue: PointSet, red: PointSet, metric: Metric, tau) -> list[list]:
-    l1 = metric is Metric.L1
-    rows = []
-    for b in blue.points:
-        shifted = tuple(c + t for c, t in zip(b, tau))
-        row = []
-        for r in red.points:
-            diffs = [abs(x - y) for x, y in zip(shifted, r)]
-            row.append(sum(diffs) if l1 else max(diffs))
-        rows.append(row)
-    return rows
-
-
-def _as_int_matrix(rows: list[list]) -> Optional[list[list[int]]]:
-    out = []
-    for row in rows:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                return None
-            ints.append(x.numerator)
-        out.append(ints)
-    return out
-
-
 def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction:
-    """Exact EMD of (B + tau, R); integral cost matrices take an int fast path."""
+    """Exact EMD of (B + tau, R), solved on the integer-scaled cost matrix."""
     if len(blue) == 0:
         return Fraction(0)
-    rows = _translated_cost(blue, red, metric, tau)
+    rows = _cost_matrix(blue.points, red.points, metric, tau)
     if len(rows) == 1:
         return min(rows[0])
-    ints = _as_int_matrix(rows)
-    if ints is not None:
-        return Fraction(_min_cost_assignment(ints)[0])
-    return _min_cost_assignment(rows)[0]
+    ints, den = _as_int_matrix(rows)
+    return Fraction(_min_cost_assignment(ints)[0], den)
 
 
 def emdut_hd(
@@ -227,9 +198,8 @@ def emdut_hd(
         v = emd_value_at(blue, red, metric, tau)
         if best_v is None or v < best_v or (v == best_v and tau < best_tau):
             best_v, best_tau = v, tau
-    cost = _translated_cost(blue, red, metric, best_tau)
-    phi = tuple(_lex_min_assignment(cost, best_v))
-    return best_v, best_tau, phi
+    cost = _cost_matrix(blue.points, red.points, metric, best_tau)
+    return best_v, best_tau, tuple(_lex_min_assignment(cost)[1])
 
 
 def rotate_45_to_l1(ps: PointSet) -> PointSet:

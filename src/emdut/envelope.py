@@ -3,13 +3,15 @@
 Holds a sequence of lines ``L[0..k-1]`` whose slopes are non-decreasing
 with position, and answers queries about ``g(tau) = min_i L[i](tau)``:
 
-* ``envelope_value(tau)``        -- exact value of g,
-* ``first_root_at_or_after(t0)`` -- smallest tau >= t0 with g(tau) <= 0,
+* ``value_at(tau)``    -- exact value of g,
+* ``first_root(t0)``   -- smallest tau >= t0 with g(tau) <= 0,
+* ``root_piece(t0)``   -- that root together with the tag of a line
+  reaching zero there,
 
 while supporting insertion/removal of single lines and adding a linear
 function to a contiguous range of positions.
 
-Two interchangeable implementations sit behind :class:`SuffixEnvelope`:
+Two interchangeable implementations share that interface:
 
 * :class:`NaiveEnvelope` keeps a plain list; every query is O(k).  It is
   the correctness anchor everything else is tested against.
@@ -20,16 +22,16 @@ Two interchangeable implementations sit behind :class:`SuffixEnvelope`:
   path-copied, never mutated, so updates cost polylogarithmic time
   instead of a rebuild.
 
-Lines are ``(slope, intercept, tag)`` triples internally; the tag is an
-opaque payload (the sweep stores blue-point ids there) and plays no part
-in the geometry.
+Lines are ``(slope, intercept, tag)`` triples; the tag is an opaque
+payload (the sweep stores blue-point ids there) and plays no part in the
+geometry.  Callers keep the slope order; the backends do not check it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 _NODE_ALLOCS = 0  # instrumentation for the complexity smoke test
 
@@ -562,76 +564,3 @@ class NaiveEnvelope:
 
     def lines(self):
         return list(self._lines)
-
-
-# ---------------------------------------------------------------------------
-# public validated surface
-# ---------------------------------------------------------------------------
-
-
-class LinearFn(NamedTuple):
-    slope: Fraction
-    intercept: Fraction
-
-    def __call__(self, tau):
-        return self.slope * tau + self.intercept
-
-
-_IMPLS: dict[str, Callable] = {"naive": NaiveEnvelope, "tree": TreeEnvelope}
-
-
-class SuffixEnvelope:
-    """Validated wrapper enforcing the slope-order contract of the line set."""
-
-    def __init__(self, impl):
-        self._impl = impl
-
-    def __len__(self):
-        return len(self._impl)
-
-    def insert(self, pos: int, line: LinearFn) -> None:
-        k = len(self._impl)
-        if not 0 <= pos <= k:
-            raise IndexError(f"insert position {pos} out of range [0, {k}]")
-        if pos > 0 and self._impl.get(pos - 1)[0] > line.slope:
-            raise ValueError("insertion violates slope ordering")
-        if pos < k and line.slope > self._impl.get(pos)[0]:
-            raise ValueError("insertion violates slope ordering")
-        self._impl.insert(pos, line.slope, line.intercept)
-
-    def remove(self, pos: int) -> LinearFn:
-        if not 0 <= pos < len(self._impl):
-            raise IndexError(f"remove position {pos} out of range")
-        a, b, _ = self._impl.remove(pos)
-        return LinearFn(a, b)
-
-    def range_add(self, from_pos: int, f: LinearFn) -> None:
-        if f.slope > 0:
-            raise ValueError("range_add requires a non-positive slope")
-        if not 0 <= from_pos <= len(self._impl):
-            raise IndexError(f"range_add position {from_pos} out of range")
-        self._impl.add_range(from_pos, len(self._impl), f.slope, f.intercept)
-
-    def envelope_value(self, tau) -> Fraction:
-        return self._impl.value_at(tau)
-
-    def first_root_at_or_after(self, tau0) -> Optional[Fraction]:
-        return self._impl.first_root(tau0)
-
-    @property
-    def lines(self) -> list[LinearFn]:
-        return [LinearFn(a, b) for a, b, _ in self._impl.lines()]
-
-
-def build(lines, implementation: str = "tree", seed: int = 0x5EED) -> SuffixEnvelope:
-    """Build a SuffixEnvelope from LinearFn items in slope order."""
-    lines = list(lines)
-    for i in range(1, len(lines)):
-        if lines[i - 1].slope > lines[i].slope:
-            raise ValueError(
-                f"slope order violated between positions {i - 1} and {i}"
-            )
-    impl = _IMPLS[implementation](
-        [(l.slope, l.intercept, None) for l in lines], seed=seed
-    )
-    return SuffixEnvelope(impl)

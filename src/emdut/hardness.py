@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Metric, PointSet, point_set, point_set_1d
-from .emd import _min_cost_assignment
+from .emd import _cost_matrix, _min_cost_assignment
 from .emdut_hd import BudgetExceeded, DEFAULT_BUDGET
 from .sweep1d import emdut_1d_sweep
 
@@ -433,24 +433,9 @@ def _int_points(ps: PointSet) -> list[tuple[int, ...]]:
 
 
 def _part_emd(blues, reds, metric: Metric, tau) -> int:
-    l1 = metric is Metric.L1
-    if len(blues) == 1:
-        b = blues[0]
-        best = None
-        for r in reds:
-            diffs = [abs(x + t - y) for x, t, y in zip(b, tau, r)]
-            v = sum(diffs) if l1 else max(diffs)
-            if best is None or v < best:
-                best = v
-        return best
-    rows = []
-    for b in blues:
-        shifted = [x + t for x, t in zip(b, tau)]
-        row = []
-        for r in reds:
-            diffs = [abs(x - y) for x, y in zip(shifted, r)]
-            row.append(sum(diffs) if l1 else max(diffs))
-        rows.append(row)
+    rows = _cost_matrix(blues, reds, metric, tau)
+    if len(rows) == 1:
+        return min(rows[0])
     return _min_cost_assignment(rows)[0]
 
 

@@ -1,8 +1,10 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from emdut.core import Metric, point_set, point_set_1d
+from emdut.core import Metric, lp_distance, point_set, point_set_1d
 from emdut.emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
 
 from conftest import rand_ints_1d, rand_points
@@ -119,3 +121,36 @@ def test_hungarian_pads_small_blue_sets():
     assert phi == (1,)
     with pytest.raises(ValueError):
         emd_hungarian(R, B, Metric.L1)
+
+
+def _tie_heavy_points(rng, n, dim):
+    # coordinates in {-1, 0, 1}, some divided by 2 or 3
+    return point_set(dim, [
+        [Fraction(rng.choice((-1, 0, 1)), rng.choice((1, 1, 2, 3))) for _ in range(dim)]
+        for _ in range(n)
+    ])
+
+
+def test_hungarian_witness_is_first_optimal_permutation():
+    rng = random.Random(14)
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        m = rng.randint(1, 5)
+        n = rng.randint(m, 7)
+        B = _tie_heavy_points(rng, m, dim)
+        R = _tie_heavy_points(rng, n, dim)
+        for metric in (Metric.L1, Metric.LINF):
+            best = emd_bruteforce(B, R, metric)
+            first = next(
+                perm for perm in itertools.permutations(range(n), m)
+                if sum(lp_distance(B.points[i], R.points[j], metric)
+                       for i, j in enumerate(perm)) == best
+            )
+            assert emd_hungarian(B, R, metric) == (best, first)
+
+
+def test_hungarian_witness_weights_beyond_float_range():
+    # the perturbed costs exceed n**m > 2**1024, far beyond any float
+    B = point_set(2, [(1, 2)] * 150)
+    R = point_set(2, [(1, 2)] * 155)
+    assert emd_hungarian(B, R, Metric.LINF) == (0, tuple(range(150)))

@@ -4,63 +4,27 @@ from fractions import Fraction as F
 
 import pytest
 
-from emdut.envelope import (
-    LinearFn,
-    NaiveEnvelope,
-    TreeEnvelope,
-    build,
-    node_allocations,
-)
+from emdut.envelope import NaiveEnvelope, TreeEnvelope, node_allocations
 
 
-def test_build_examples():
-    empty = build([], "tree")
-    assert empty.first_root_at_or_after(F(0)) is None
-    with pytest.raises(ValueError):
-        empty.envelope_value(F(0))
+def test_backend_edge_cases():
+    for cls in (NaiveEnvelope, TreeEnvelope):
+        empty = cls()
+        assert empty.root_piece(F(0)) is None
+        with pytest.raises(ValueError):
+            empty.value_at(F(0))
 
-    single = build([LinearFn(F(-2), F(4))])
-    assert single.envelope_value(F(0)) == 4
-    assert single.first_root_at_or_after(F(0)) == 2
+        single = cls([(F(-2), F(4), 0)])
+        assert single.value_at(F(0)) == 4
+        assert single.first_root(F(0)) == 2
 
-    pair = build([LinearFn(F(-2), F(4)), LinearFn(F(-1), F(1))])
-    assert pair.envelope_value(F(0)) == 1
-    assert pair.envelope_value(F(3)) == -2
-    assert pair.first_root_at_or_after(F(0)) == 1
+        pair = cls([(F(-2), F(4), 0), (F(-1), F(1), 1)])
+        assert pair.value_at(F(0)) == 1
+        assert pair.value_at(F(3)) == -2
+        assert pair.first_root(F(0)) == 1
 
-
-def test_build_rejects_slope_disorder():
-    with pytest.raises(ValueError):
-        build([LinearFn(F(0), F(1)), LinearFn(F(-1), F(1))])
-
-
-def test_insert_remove_round_trip_and_errors():
-    env = build([], "tree")
-    env.insert(0, LinearFn(F(-1), F(2)))
-    assert env.remove(0) == LinearFn(F(-1), F(2))
-    assert len(env) == 0
-    with pytest.raises(IndexError):
-        env.remove(0)
-    env.insert(0, LinearFn(F(0), F(1)))
-    with pytest.raises(ValueError):
-        env.insert(0, LinearFn(F(5), F(0)))  # would sit above a smaller slope
-    with pytest.raises(IndexError):
-        env.insert(7, LinearFn(F(1), F(0)))
-
-
-def test_range_add_contract():
-    env = build([LinearFn(F(-1), F(1))])
-    env.range_add(0, LinearFn(F(0), F(0)))
-    assert env.lines == [LinearFn(F(-1), F(1))]
-    env.range_add(0, LinearFn(F(-1), F(2)))
-    assert env.lines == [LinearFn(F(-2), F(3))]
-    with pytest.raises(ValueError):
-        env.range_add(0, LinearFn(F(1), F(0)))
-
-
-def test_root_none_when_all_positive_constant():
-    env = build([LinearFn(F(0), F(3)), LinearFn(F(0), F(5))])
-    assert env.first_root_at_or_after(F(-100)) is None
+        flat = cls([(F(0), F(3), 0), (F(0), F(5), 1)])
+        assert flat.first_root(F(-100)) is None
 
 
 def _random_ops(seed, ops, naive, tree, slope_lo=-40, slope_hi=40):
