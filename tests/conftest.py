@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,11 @@ def brute_force_1d_translated(blue: PointSet, red: PointSet) -> Fraction:
     m, n = len(bs), len(rs)
     if m == 0:
         return Fraction(0)
+    # Enumerate on integers scaled by the common denominator; exact, and
+    # far cheaper than Fraction arithmetic in the innermost loop.
+    den = math.lcm(*(x.denominator for x in bs + rs))
+    bs = [int(x * den) for x in bs]
+    rs = [int(x * den) for x in rs]
     best = None
     taus = {r - b for b in bs for r in rs}
     for tau in taus:
@@ -37,4 +43,4 @@ def brute_force_1d_translated(blue: PointSet, red: PointSet) -> Fraction:
             cost = sum(abs(shifted[i] - rs[cols[i]]) for i in range(m))
             if best is None or cost < best:
                 best = cost
-    return best
+    return Fraction(best, den)

@@ -7,8 +7,11 @@ import pytest
 from emdut.envelope import NaiveEnvelope, TreeEnvelope, node_allocations
 
 
-def test_backend_edge_cases():
-    for cls in (NaiveEnvelope, TreeEnvelope):
+BACKENDS = (NaiveEnvelope, TreeEnvelope)
+
+
+def test_build_examples():
+    for cls in BACKENDS:
         empty = cls()
         assert empty.root_piece(F(0)) is None
         with pytest.raises(ValueError):
@@ -23,6 +26,9 @@ def test_backend_edge_cases():
         assert pair.value_at(F(3)) == -2
         assert pair.first_root(F(0)) == 1
 
+
+def test_root_none_when_all_positive_constant():
+    for cls in BACKENDS:
         flat = cls([(F(0), F(3), 0), (F(0), F(5), 1)])
         assert flat.first_root(F(-100)) is None
 
