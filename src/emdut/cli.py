@@ -25,7 +25,9 @@ from .core import (
     serialize_point_set,
 )
 from .emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
-from .emdut_hd import BudgetExceeded, candidate_translations, emdut_hd
+# candidate_translations is unused here but kept importable: the benchmark's
+# tracer patches ``emdut.cli.candidate_translations`` by name.
+from .emdut_hd import BudgetExceeded, candidate_translations, emdut_hd  # noqa: F401
 from .hardness import (
     Graph,
     OVInstance,
@@ -97,10 +99,9 @@ def _cmd_solve(args) -> int:
         algorithm = args.algorithm
     else:  # emdut-hd
         metric = Metric.parse(args.metric)
-        stats["candidates"] = len(
-            candidate_translations(blue, red, metric, args.budget)
+        value, tau, phi, stats["candidates"] = emdut_hd(
+            blue, red, metric, args.budget, return_stats=True
         )
-        value, tau, phi = emdut_hd(blue, red, metric, args.budget)
         translation = tau
         algorithm = f"arrangement-{metric.value}"
     stats["millis"] = round((time.perf_counter() - t0) * 1000, 3)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Matching, Metric, Point, PointSet, zero_point
+from .core import Metric, Point, PointSet, zero_point
 from .emd import (
     _as_int_matrix,
     _cost_matrix,
@@ -180,10 +180,19 @@ def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction
 
 
 def emdut_hd(
-    blue: PointSet, red: PointSet, metric: Metric, budget: int = DEFAULT_BUDGET
-) -> tuple[Fraction, Point, Matching]:
+    blue: PointSet,
+    red: PointSet,
+    metric: Metric,
+    budget: int = DEFAULT_BUDGET,
+    *,
+    return_stats: bool = False,
+):
     """Exact minimum EMD over all translations; reports the lexicographically
-    smallest optimal translation and a witness matching there."""
+    smallest optimal translation and a witness matching there.
+
+    Returns (value, tau, matching); with ``return_stats=True`` the number
+    of candidate translations evaluated is appended.
+    """
     if blue.dim != red.dim:
         raise ValueError("dimension mismatch")
     m, n = len(blue), len(red)
@@ -191,15 +200,18 @@ def emdut_hd(
         raise ValueError(f"|B| = {m} exceeds |R| = {n}")
     d = blue.dim
     if m == 0:
-        return Fraction(0), zero_point(d), ()
+        out = Fraction(0), zero_point(d), ()
+        return (*out, 0) if return_stats else out
+    candidates = candidate_translations(blue, red, metric, budget)
     best_v = None
     best_tau = None
-    for tau in candidate_translations(blue, red, metric, budget):
+    for tau in candidates:
         v = emd_value_at(blue, red, metric, tau)
         if best_v is None or v < best_v or (v == best_v and tau < best_tau):
             best_v, best_tau = v, tau
     cost = _cost_matrix(blue.points, red.points, metric, best_tau)
-    return best_v, best_tau, tuple(_lex_min_assignment(cost)[1])
+    out = best_v, best_tau, tuple(_lex_min_assignment(cost)[1])
+    return (*out, len(candidates)) if return_stats else out
 
 
 def rotate_45_to_l1(ps: PointSet) -> PointSet:

@@ -13,14 +13,15 @@ function to a contiguous range of positions.
 
 Two interchangeable implementations share that interface:
 
-* :class:`NaiveEnvelope` keeps a plain list; every query is O(k).  It is
-  the correctness anchor everything else is tested against.
-* :class:`TreeEnvelope` is a balanced tree (randomized, deterministic
-  seed) whose nodes carry a lazy linear offset for their whole subtree
-  plus a persistent summary of the subtree's lower envelope.  Summaries
-  of siblings survive being combined into the parent because they are
-  path-copied, never mutated, so updates cost polylogarithmic time
-  instead of a rebuild.
+* :class:`NaiveEnvelope` keeps a plain list; every query is O(k).  The
+  sweep runs it for every run size, since it beat the tree at every
+  measured size.
+* :class:`TreeEnvelope`, kept as a differential reference, is a balanced
+  tree (randomized, deterministic seed) whose nodes carry a lazy linear
+  offset for their whole subtree plus a persistent summary of the
+  subtree's lower envelope.  Summaries of siblings survive being combined
+  into the parent because they are path-copied, never mutated, so updates
+  cost polylogarithmic time instead of a rebuild.
 
 Lines are ``(slope, intercept, tag)`` triples; the tag is an opaque
 payload (the sweep stores blue-point ids there) and plays no part in the
@@ -516,9 +517,7 @@ class NaiveEnvelope:
         return self._lines.pop(pos)
 
     def add_range(self, lo, hi, da, db):
-        for i in range(lo, hi):
-            a, b, tag = self._lines[i]
-            self._lines[i] = (a + da, b + db, tag)
+        self._lines[lo:hi] = [(a + da, b + db, tag) for a, b, tag in self._lines[lo:hi]]
 
     def __len__(self):
         return len(self._lines)
@@ -536,27 +535,29 @@ class NaiveEnvelope:
         return self._root_region(tau0)
 
     def _root_region(self, tau0):
-        # {g <= 0} is a union of per-line rays; find its first point >= tau0
+        # {g <= 0} is a union of per-line rays; find its first point >= tau0.
+        # A ray's end -b/a is kept as a pair (p, q) with q > 0 and compared by
+        # cross-multiplication, so only the returned root becomes a number.
         if not self._lines:
             return None
-        left_end = None   # sup of the (-inf, .] ray
-        right_start = None  # inf of the [., +inf) ray
+        left_end = None     # (p, q, tag): sup of the (-inf, .] rays
+        right_start = None  # (p, q, tag): inf of the [., +inf) rays
         for a, b, tag in self._lines:
-            if a == 0:
-                if b <= 0:
-                    return tau0, tag
-            elif a > 0:
-                r = Fraction(-b, a)
-                if left_end is None or r > left_end[0]:
-                    left_end = (r, tag)
-            else:
-                r = Fraction(-b, a)
-                if right_start is None or r < right_start[0]:
-                    right_start = (r, tag)
-        if left_end is not None and tau0 <= left_end[0]:
-            return tau0, left_end[1]
+            if a > 0:
+                if left_end is None or -b * left_end[1] > left_end[0] * a:
+                    left_end = (-b, a, tag)
+            elif a < 0:
+                if right_start is None or b * right_start[1] < right_start[0] * -a:
+                    right_start = (b, -a, tag)
+            elif b <= 0:
+                return tau0, tag
+        if left_end is not None and tau0 * left_end[1] <= left_end[0]:
+            return tau0, left_end[2]
         if right_start is not None:
-            return max(tau0, right_start[0]), right_start[1]
+            p, q, tag = right_start
+            if tau0 * q >= p:
+                return tau0, tag
+            return (p // q if p % q == 0 else Fraction(p, q)), tag
         return None
 
     def get(self, pos):

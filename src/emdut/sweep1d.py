@@ -14,9 +14,12 @@ slope) and reassignment events (a run suffix shifts to the next reds,
 triggered by a root of the run's envelope).
 
 Internally the sweep rescales all coordinates by the common denominator
-and works in integers; alignment events then have integer keys and only
-envelope roots can be proper fractions.  Results are scaled back, so the
-output is exact.
+and works in integers, so alignment times are integers and only envelope
+roots can be proper fractions.  Heap keys are float-filtered exact keys
+``(float(t), t, ...)``: rounding to float is monotone, so unequal floats
+order the exact times ``t`` correctly, and ``t`` itself decides only when
+the floats tie.  Floats never enter a value, a translation or an
+envelope.  Results are scaled back, so the output is exact.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .emd import emd_1d_monotone
 from .envelope import NaiveEnvelope, TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
-_TREE_CUTOFF = 64  # runs smaller than this are cheaper with the list envelope
+# ``auto`` runs the list envelope: it beats the tree at every measured run
+# size (m = 65..400); the tree stays as a differential reference.
+_ENVELOPES = {"auto": NaiveEnvelope, "naive": NaiveEnvelope, "tree": TreeEnvelope}
 
 
 class SweepStats(NamedTuple):
@@ -108,6 +113,14 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
     return best
 
 
+def _fkey(t) -> float:
+    """Monotone float filter for an exact event time (±inf past the range)."""
+    try:
+        return float(t)
+    except OverflowError:
+        return math.inf if t > 0 else -math.inf
+
+
 @dataclass
 class _Run:
     rid: int
@@ -122,15 +135,13 @@ class _Run:
 class _Sweep:
     """One sweep execution over integer-scaled coordinates."""
 
-    def __init__(self, bc, rc, envelope_kind: str, check: bool):
+    def __init__(self, bc, rc, envelope_cls, check: bool):
         self.bc = bc
         self.rc = rc
         self.m = len(bc)
         self.n = len(rc)
         self.check = check
-        if envelope_kind == "auto":
-            envelope_kind = "naive" if self.m <= _TREE_CUTOFF else "tree"
-        self.envelope_kind = envelope_kind
+        self.envelope_cls = envelope_cls
         self.phi = list(range(self.m))
         self.blue_run = [0] * self.m
         self.runs: dict[int, _Run] = {}
@@ -145,21 +156,13 @@ class _Sweep:
 
     # -- envelope helpers ---------------------------------------------------
 
-    def _new_env(self, lines):
-        if self.envelope_kind == "tree":
-            env = TreeEnvelope(seed=0xABCD + self.next_rid)
-        else:
-            env = NaiveEnvelope()
-        for i, (a, b, tag) in enumerate(lines):
-            env.insert(i, a, b, tag)
-        return env
-
-    def _delta_prime(self, j, tau):
+    def _delta_prime(self, j, floor_tau):
         # current linear piece of the cost change when blue j switches from
-        # its red to the next one; caller guarantees the next red exists
+        # its red to the next one; caller guarantees the next red exists.
+        # The piece changes only at integer times, so floor(tau) selects it.
         v = self.phi[j]
         r, rp = self.rc[v], self.rc[v + 1]
-        x = self.bc[j] + tau
+        x = self.bc[j] + floor_tau
         if x < r:
             return 0, rp - r
         if x < rp:
@@ -168,10 +171,11 @@ class _Sweep:
 
     def _run_lines(self, bs, bt, tau):
         # suffix sums of the per-blue switch costs, last blue's alone at the end
+        floor_tau = math.floor(tau)
         acc_a = acc_b = 0
         out = []
         for j in range(bt, bs - 1, -1):
-            da, db = self._delta_prime(j, tau)
+            da, db = self._delta_prime(j, floor_tau)
             acc_a += da
             acc_b += db
             out.append((acc_a, acc_b, j))
@@ -183,7 +187,8 @@ class _Sweep:
         self.next_rid += 1
         run = _Run(rid, bs, bt, anchor)
         if anchor < self.n - 1:
-            run.env = self._new_env(self._run_lines(bs, bt, tau))
+            run.env = self.envelope_cls(self._run_lines(bs, bt, tau),
+                                        seed=0xABCD + self.next_rid)
         self.runs[rid] = run
         for j in range(bs, bt + 1):
             self.blue_run[j] = rid
@@ -197,10 +202,8 @@ class _Sweep:
         got = run.env.root_piece(tau)
         if got is not None:
             root, tag = got
-            if isinstance(root, Fraction) and root.denominator == 1:
-                root = root.numerator
             run.event = (root, tag)
-            heapq.heappush(self.heap, (root, 1, run.rid, run.epoch))
+            heapq.heappush(self.heap, (_fkey(root), root, 1, run.rid, run.epoch))
 
     def _verify_run_envelopes(self, tau):
         # check-mode only: stored suffix-cost lines must equal pieces
@@ -261,8 +264,9 @@ class _Sweep:
             if nxt.env is not None:
                 base_a, base_b, _ = nxt.env.get(0)
                 acc_a, acc_b = base_a, base_b
+                floor_tau = math.floor(tau)
                 for k in range(nxt.bs - 1, j - 1, -1):
-                    da, db = self._delta_prime(k, tau)
+                    da, db = self._delta_prime(k, floor_tau)
                     acc_a += da
                     acc_b += db
                     nxt.env.insert(0, acc_a, acc_b, k)
@@ -280,33 +284,34 @@ class _Sweep:
         m, n, bc, rc = self.m, self.n, self.bc, self.rc
         heap = self.heap
         for j in range(m):
-            heapq.heappush(heap, (rc[0] - bc[j], 0, j, 0))
-        start = heap[0][0] - 1
+            t = rc[0] - bc[j]
+            heapq.heappush(heap, (_fkey(t), t, 0, j, 0))
+        start = heap[0][1] - 1
         self._make_run(0, m - 1, m - 1, start)
         run0 = self.runs[0]
         self._reschedule(run0, start)
 
-        best_v = None
-        best_tau = None
-        best_runs = None
+        best_num = best_den = best_tau = best_runs = None
         pieces = [] if collect_pieces else None
-        prev_tau = None
+        prev_f = prev_tau = None
         while heap:
-            tau, kind, x, y = heapq.heappop(heap)
+            f, tau, kind, x, y = heapq.heappop(heap)
             if kind == 1:
                 run = self.runs.get(x)
                 if run is None or run.epoch != y:
                     continue
-            if prev_tau is not None and tau > prev_tau:
+            # pops come in non-decreasing order, so a new time is an unequal one
+            if prev_tau is not None and (f != prev_f or tau != prev_tau):
                 if pieces is not None:
                     pieces.append((prev_tau, tau, self.fs, self.fi))
                 if self.check:
                     self._verify_run_envelopes(Fraction(prev_tau + tau, 2))
-            prev_tau = tau
-            value = self.fs * tau + self.fi
-            if best_v is None or value < best_v:
-                best_v = value
-                best_tau = tau
+            prev_f, prev_tau = f, tau
+            # the cost fs*tau + fi as num/den, compared by cross-multiplication
+            den = tau.denominator
+            num = self.fs * tau.numerator + self.fi * den
+            if best_num is None or num * best_den < best_num * den:
+                best_num, best_den, best_tau = num, den, tau
                 best_runs = sorted(
                     (r.bs, r.bt, r.anchor) for r in self.runs.values()
                 )
@@ -315,11 +320,12 @@ class _Sweep:
                 self.align_events += 1
                 self._handle_alignment(x, y, tau)
                 if y + 1 < n:
-                    heapq.heappush(heap, (rc[y + 1] - bc[x], 0, x, y + 1))
+                    t = rc[y + 1] - bc[x]
+                    heapq.heappush(heap, (_fkey(t), t, 0, x, y + 1))
             else:
                 self.move_events += 1
                 self._handle_move(self.runs[x], tau)
-        return best_v, best_tau, best_runs, pieces
+        return Fraction(best_num, best_den), best_tau, best_runs, pieces
 
 
 def emdut_1d_sweep(
@@ -335,8 +341,16 @@ def emdut_1d_sweep(
 
     Returns (value, tau, matching) where tau is the smallest optimal
     translation; with ``return_stats=True`` a :class:`SweepStats` is
-    appended.  ``check`` enables internal invariant assertions.
+    appended.  ``envelope`` picks the run envelope: ``auto`` and ``naive``
+    run the list, ``tree`` the balanced tree.  ``check`` enables internal
+    invariant assertions.
     """
+    envelope_cls = _ENVELOPES.get(envelope)
+    if envelope_cls is None:
+        raise ValueError(
+            f"unknown envelope kind {envelope!r}; expected one of "
+            + ", ".join(_ENVELOPES)
+        )
     if blue.dim != 1 or red.dim != 1:
         raise ValueError("1-dimensional point sets required")
     m, n = len(blue), len(red)
@@ -356,7 +370,7 @@ def emdut_1d_sweep(
     bc, border = _sorted_scaled(blue, denom)
     rc, rorder = _sorted_scaled(red, denom)
 
-    sweep = _Sweep(bc, rc, envelope, check)
+    sweep = _Sweep(bc, rc, envelope_cls, check)
     best_v, best_tau, best_runs, pieces = sweep.run(collect_pieces)
 
     value = Fraction(best_v, denom)

@@ -33,6 +33,28 @@ def test_root_none_when_all_positive_constant():
         assert flat.first_root(F(-100)) is None
 
 
+def test_root_tag_names_a_line_at_or_below_zero_at_the_root():
+    rng = random.Random(78)
+    for trial in range(300):
+        k = rng.randint(1, 8)
+        slopes = sorted(rng.randint(-6, 3) for _ in range(k))
+        lines = [(a, F(rng.randint(-40, 40), rng.choice([1, 2, 3])), i)
+                 for i, a in enumerate(slopes)]
+        by_tag = {tag: (a, b) for a, b, tag in lines}
+        t0 = F(rng.randint(-30, 30), rng.choice([1, 2]))
+        roots = []
+        for cls in BACKENDS:
+            got = cls(lines, seed=trial).root_piece(t0)
+            roots.append(got[0] if got else None)
+            if got is None:
+                continue
+            root, tag = got
+            a, b = by_tag[tag]
+            assert root >= t0
+            assert a * root + b <= 0, (cls.__name__, lines, t0, got)
+        assert roots[0] == roots[1]
+
+
 def _random_ops(seed, ops, naive, tree, slope_lo=-40, slope_hi=40):
     rng = random.Random(seed)
     k = len(naive)

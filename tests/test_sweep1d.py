@@ -79,7 +79,7 @@ def test_sweep_tree_envelope_agrees_with_naive():
 
 
 def test_sweep_backends_agree_at_auto_cutoff_scale():
-    # above the auto cutoff the balanced-tree envelopes carry the runs
+    # runs of more than 64 blues: the tree and the list give the same answer
     rng = random.Random(808)
     B = point_set_1d([rng.randint(-500, 500) for _ in range(80)])
     R = point_set_1d([rng.randint(-500, 500) for _ in range(120)])
@@ -87,6 +87,49 @@ def test_sweep_backends_agree_at_auto_cutoff_scale():
     naive = emdut_1d_sweep(B, R, envelope="naive")
     auto = emdut_1d_sweep(B, R)
     assert tree == naive == auto
+
+
+def test_auto_runs_the_list_envelope_above_64_blues():
+    rng = random.Random(809)
+    B = point_set_1d([rng.randint(-500, 500) for _ in range(80)])
+    R = point_set_1d([rng.randint(-500, 500) for _ in range(120)])
+    auto = emdut_1d_sweep(B, R, return_stats=True)
+    naive = emdut_1d_sweep(B, R, envelope="naive", return_stats=True)
+    assert auto == naive  # event counts included
+    assert auto[3].reassignment_events > 0
+
+
+def test_sweep_rejects_unknown_envelope_kind():
+    for blue in (point_set_1d([]), point_set_1d([0, 1])):
+        with pytest.raises(ValueError, match="auto, naive, tree"):
+            emdut_1d_sweep(blue, point_set_1d([0, 2, 3]), envelope="bogus")
+
+
+@pytest.mark.parametrize(
+    "base", [10**400, -(10**400), 2**70], ids=["1e400", "-1e400", "2**70"]
+)
+def test_float_filtered_heap_keys_stay_exact(base):
+    # near +-10**400 the float keys overflow to +-inf; near 2**70 distinct
+    # keys round to the same float.  Either way the exact times must decide.
+    # Some reds stay near 0, so filtered and plain float keys share a heap.
+    rng = random.Random(base % 1009)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        n = rng.randint(m, 7)
+        den = rng.choice([1, 2, 3, 7])
+        B = rand_ints_1d(rng, m, -6, 6)
+        R = point_set_1d(
+            [rng.choice([0, base]) + F(rng.randint(-12, 12), den) for _ in range(n)]
+        )
+        value, tau, phi, stats = emdut_1d_sweep(
+            B, R, check=True, collect_pieces=True, return_stats=True
+        )
+        assert value == emdut_1d_alignment_oracle(B, R)
+        cost = sum(abs(B.points[j][0] + tau - R.points[phi[j]][0]) for j in range(m))
+        assert cost == value
+        pieces = stats.pieces
+        assert all(lo < hi for lo, hi, _, _ in pieces)
+        assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
 
 
 def test_sweep_reports_smallest_optimal_translation():
