@@ -221,19 +221,6 @@ def _e_walk_flip(root: _E, h_of):
         return own
 
 
-def _e_lines(n: Optional[_E], acc_a=0, acc_b=0, out=None):
-    if out is None:
-        out = []
-    if n is None:
-        return out
-    acc_a += n.fa
-    acc_b += n.fb
-    _e_lines(n.left, acc_a, acc_b, out)
-    out.append((n.a + acc_a, n.b + acc_b, n.tag))
-    _e_lines(n.right, acc_a, acc_b, out)
-    return out
-
-
 def _e_merge(ea: Optional[_E], eb: Optional[_E]) -> Optional[_E]:
     """Envelope of the union, where every slope in ea <= every slope in eb.
 

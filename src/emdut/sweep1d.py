@@ -125,11 +125,10 @@ def _fkey(t) -> float:
 class _Run:
     rid: int
     bs: int            # first blue (sorted order)
-    bt: int            # last blue
-    anchor: int        # red matched to bt
-    env: object = None     # suffix-cost envelope, None when anchor is the last red
-    epoch: int = 0
-    event: object = None   # cached (tau, blue) for the scheduled reassignment
+    bt: int            # last blue; its red is phi[bt]
+    env: object = None     # suffix-cost envelope, None when phi[bt] is the last red
+    epoch: int = 0         # heap entries of older epochs are stale
+    event: object = None   # (tau, blue) of the one live queued reassignment
 
 
 class _Sweep:
@@ -142,9 +141,8 @@ class _Sweep:
         self.n = len(rc)
         self.check = check
         self.envelope_cls = envelope_cls
-        self.phi = list(range(self.m))
-        self.blue_run = [0] * self.m
-        self.runs: dict[int, _Run] = {}
+        self.phi = list(range(self.m))  # the matching: blue j -> red phi[j]
+        self.blue_run = [None] * self.m  # blue j -> the _Run holding it
         self.next_rid = 0
         self.heap: list = []
         self.fs = -self.m
@@ -169,10 +167,10 @@ class _Sweep:
             return -2, r + rp - 2 * self.bc[j]
         return 0, r - rp
 
-    def _run_lines(self, bs, bt, tau):
-        # suffix sums of the per-blue switch costs, last blue's alone at the end
+    def _run_lines(self, bs, bt, tau, acc_a=0, acc_b=0):
+        # suffix sums of the per-blue switch costs on top of the base line
+        # (acc_a, acc_b), the line of blue bt coming last
         floor_tau = math.floor(tau)
-        acc_a = acc_b = 0
         out = []
         for j in range(bt, bs - 1, -1):
             da, db = self._delta_prime(j, floor_tau)
@@ -182,101 +180,99 @@ class _Sweep:
         out.reverse()
         return out
 
-    def _make_run(self, bs, bt, anchor, tau) -> _Run:
-        rid = self.next_rid
+    def _make_run(self, bs, bt, tau) -> _Run:
+        run = _Run(self.next_rid, bs, bt)
         self.next_rid += 1
-        run = _Run(rid, bs, bt, anchor)
-        if anchor < self.n - 1:
+        if self.phi[bt] < self.n - 1:
             run.env = self.envelope_cls(self._run_lines(bs, bt, tau),
                                         seed=0xABCD + self.next_rid)
-        self.runs[rid] = run
-        for j in range(bs, bt + 1):
-            self.blue_run[j] = rid
+        self.blue_run[bs:bt + 1] = [run] * (bt - bs + 1)
+        self._reschedule(run, tau)
         return run
 
     def _reschedule(self, run: _Run, tau):
-        run.epoch += 1
-        run.event = None
-        if run.env is None or len(run.env) == 0:
-            return
-        got = run.env.root_piece(tau)
-        if got is not None:
-            root, tag = got
-            run.event = (root, tag)
-            heapq.heappush(self.heap, (_fkey(root), root, 1, run.rid, run.epoch))
+        # queue the run's next reassignment unless it is already queued
+        got = run.env.root_piece(tau) if run.env is not None else None
+        if got != run.event:
+            run.epoch += 1
+            run.event = got
+            if got is not None:
+                # (rid, epoch) is unique per entry, so ties never compare runs
+                root = got[0]
+                heapq.heappush(self.heap,
+                               (_fkey(root), root, 1, run.rid, run.epoch, run))
 
-    def _verify_run_envelopes(self, tau):
-        # check-mode only: stored suffix-cost lines must equal pieces
-        # recomputed from scratch strictly inside the current interval
-        for run in self.runs.values():
-            if run.env is None:
-                continue
-            want = [(a, b) for a, b, _ in self._run_lines(run.bs, run.bt, tau)]
-            got = [(a, b) for a, b, _ in run.env.lines()]
-            assert got == want, (run.rid, got, want)
+    def _verify_runs(self, tau):
+        # check-mode only: each run matches its blues to consecutive reds,
+        # has an envelope unless its last red is the last one, and stores
+        # suffix-cost lines equal to pieces recomputed from scratch
+        # strictly inside the current interval
+        phi, j = self.phi, 0
+        while j < self.m:
+            run = self.blue_run[j]
+            assert run.bs == j and all(r is run for r in self.blue_run[j:run.bt + 1])
+            assert phi[j:run.bt + 1] == list(range(phi[j], phi[run.bt] + 1))
+            assert (run.env is None) == (phi[run.bt] == self.n - 1)
+            if run.env is not None:
+                want = [(a, b) for a, b, _ in self._run_lines(run.bs, run.bt, tau)]
+                got = [(a, b) for a, b, _ in run.env.lines()]
+                assert got == want, (run.rid, got, want)
+            j = run.bt + 1
 
     # -- event handlers -------------------------------------------------------
 
     def _handle_alignment(self, j, v, tau):
+        # blue j meets its own red (its cost's slope gains 2) or the next red
+        # (its switch cost's slope flips sign); other alignments change nothing
         w = self.phi[j]
         if v == w:
             self.fs += 2
             self.fi += 2 * (self.bc[j] - self.rc[v])
-            run = self.runs[self.blue_run[j]]
-            if run.env is not None:
-                run.env.add_range(0, j - run.bs + 1, -2, 2 * (self.rc[v] - self.bc[j]))
-                self._reschedule(run, tau)
-        elif v == w + 1:
-            run = self.runs[self.blue_run[j]]
-            if run.env is not None:
-                run.env.add_range(0, j - run.bs + 1, 2, -2 * (self.rc[v] - self.bc[j]))
-                self._reschedule(run, tau)
+        elif v != w + 1:
+            return
+        run = self.blue_run[j]
+        if run.env is not None:
+            d = 2 if v == w else -2
+            run.env.add_range(0, j - run.bs + 1, -d, d * (self.rc[v] - self.bc[j]))
+            self._reschedule(run, tau)
 
     def _handle_move(self, run: _Run, tau):
         root, j = run.event
+        run.event = None
         pos = j - run.bs
         line_a, line_b, _ = run.env.get(pos)
         if self.check:
+            assert root == tau
             assert run.env.value_at(tau) == 0 == line_a * tau + line_b
             assert run.bs <= j <= run.bt
             self.move_log.append((run.bs, run.bt, j))
         self.fs += line_a
         self.fi += line_b
         bt = run.bt
+        phi = self.phi
         for k in range(j, bt + 1):
-            self.phi[k] += 1
-        new_anchor = run.anchor + 1
-        # shrink or delete the source run
+            phi[k] += 1
+        # shrink the source run; a run that moves whole is dropped, as its
+        # one queued event was just consumed
         if pos > 0:
             for _ in range(len(run.env) - pos):
                 run.env.remove(pos)
             run.env.add_range(0, pos, -line_a, -line_b)
             run.bt = j - 1
-            run.anchor = self.phi[j - 1]
             self._reschedule(run, tau)
-        else:
-            del self.runs[run.rid]
-            run.epoch += 1  # invalidate any queued event
         # attach the moved suffix: merge with the next run when the red
         # indices become consecutive, otherwise start a fresh run
-        nxt = self.runs[self.blue_run[bt + 1]] if bt + 1 < self.m else None
-        if nxt is not None and self.phi[nxt.bs] == new_anchor + 1:
+        nxt = self.blue_run[bt + 1] if bt + 1 < self.m else None
+        if nxt is not None and phi[nxt.bs] == phi[bt] + 1:
             if nxt.env is not None:
                 base_a, base_b, _ = nxt.env.get(0)
-                acc_a, acc_b = base_a, base_b
-                floor_tau = math.floor(tau)
-                for k in range(nxt.bs - 1, j - 1, -1):
-                    da, db = self._delta_prime(k, floor_tau)
-                    acc_a += da
-                    acc_b += db
-                    nxt.env.insert(0, acc_a, acc_b, k)
+                for a, b, k in reversed(self._run_lines(j, bt, tau, base_a, base_b)):
+                    nxt.env.insert(0, a, b, k)
             nxt.bs = j
-            for k in range(j, bt + 1):
-                self.blue_run[k] = nxt.rid
+            self.blue_run[j:bt + 1] = [nxt] * (bt - j + 1)
             self._reschedule(nxt, tau)
         else:
-            moved = self._make_run(j, bt, new_anchor, tau)
-            self._reschedule(moved, tau)
+            self._make_run(j, bt, tau)
 
     # -- main loop -------------------------------------------------------------
 
@@ -285,47 +281,40 @@ class _Sweep:
         heap = self.heap
         for j in range(m):
             t = rc[0] - bc[j]
-            heapq.heappush(heap, (_fkey(t), t, 0, j, 0))
-        start = heap[0][1] - 1
-        self._make_run(0, m - 1, m - 1, start)
-        run0 = self.runs[0]
-        self._reschedule(run0, start)
+            heapq.heappush(heap, (_fkey(t), t, 0, j, 0, None))
+        self._make_run(0, m - 1, heap[0][1] - 1)
 
-        best_num = best_den = best_tau = best_runs = None
+        best_num = best_den = best_tau = best_phi = None
         pieces = [] if collect_pieces else None
         prev_f = prev_tau = None
         while heap:
-            f, tau, kind, x, y = heapq.heappop(heap)
-            if kind == 1:
-                run = self.runs.get(x)
-                if run is None or run.epoch != y:
-                    continue
+            f, tau, kind, x, y, run = heapq.heappop(heap)
+            if kind == 1 and run.epoch != y:
+                continue  # stale: the run was rescheduled since
             # pops come in non-decreasing order, so a new time is an unequal one
             if prev_tau is not None and (f != prev_f or tau != prev_tau):
                 if pieces is not None:
                     pieces.append((prev_tau, tau, self.fs, self.fi))
                 if self.check:
-                    self._verify_run_envelopes(Fraction(prev_tau + tau, 2))
+                    self._verify_runs(Fraction(prev_tau + tau, 2))
             prev_f, prev_tau = f, tau
             # the cost fs*tau + fi as num/den, compared by cross-multiplication
             den = tau.denominator
             num = self.fs * tau.numerator + self.fi * den
             if best_num is None or num * best_den < best_num * den:
                 best_num, best_den, best_tau = num, den, tau
-                best_runs = sorted(
-                    (r.bs, r.bt, r.anchor) for r in self.runs.values()
-                )
+                best_phi = self.phi[:]
             self.events += 1
             if kind == 0:
                 self.align_events += 1
                 self._handle_alignment(x, y, tau)
                 if y + 1 < n:
                     t = rc[y + 1] - bc[x]
-                    heapq.heappush(heap, (_fkey(t), t, 0, x, y + 1))
+                    heapq.heappush(heap, (_fkey(t), t, 0, x, y + 1, None))
             else:
                 self.move_events += 1
-                self._handle_move(self.runs[x], tau)
-        return Fraction(best_num, best_den), best_tau, best_runs, pieces
+                self._handle_move(run, tau)
+        return Fraction(best_num, best_den), best_tau, best_phi, pieces
 
 
 def emdut_1d_sweep(
@@ -371,15 +360,13 @@ def emdut_1d_sweep(
     rc, rorder = _sorted_scaled(red, denom)
 
     sweep = _Sweep(bc, rc, envelope_cls, check)
-    best_v, best_tau, best_runs, pieces = sweep.run(collect_pieces)
+    best_v, best_tau, best_phi, pieces = sweep.run(collect_pieces)
 
     value = Fraction(best_v, denom)
     tau = Fraction(best_tau, denom)
     assignment = [0] * m
-    for bs, bt, anchor in best_runs:
-        first_red = anchor - (bt - bs)
-        for k in range(bt - bs + 1):
-            assignment[border[bs + k]] = rorder[first_red + k]
+    for j, v in enumerate(best_phi):
+        assignment[border[j]] = rorder[v]
     result = (value, tau, tuple(assignment))
     if return_stats:
         descaled = None

@@ -99,6 +99,20 @@ def test_auto_runs_the_list_envelope_above_64_blues():
     assert auto[3].reassignment_events > 0
 
 
+def test_check_mode_holds_on_runs_longer_than_8_blues():
+    # m = 65, n = 2m as in the benchmark: runs far longer than the small
+    # check-mode tests reach, with every internal assertion switched on
+    for seed, envelope in ((651, "naive"), (652, "naive"), (653, "naive"), (654, "tree")):
+        rng = random.Random(seed)
+        B, R = rand_ints_1d(rng, 65, 0, 1300), rand_ints_1d(rng, 130, 0, 1300)
+        value, tau, phi, stats = emdut_1d_sweep(
+            B, R, envelope=envelope, check=True, return_stats=True
+        )
+        assert max(bt - bs + 1 for bs, bt, _ in stats.moves) > 8
+        cost = sum(abs(B.points[j][0] + tau - R.points[phi[j]][0]) for j in range(65))
+        assert cost == value == emd_1d_monotone(B.translate((tau,)), R)[0]
+
+
 def test_sweep_rejects_unknown_envelope_kind():
     for blue in (point_set_1d([]), point_set_1d([0, 1])):
         with pytest.raises(ValueError, match="auto, naive, tree"):
