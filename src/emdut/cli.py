@@ -68,7 +68,7 @@ def _cmd_solve(args) -> int:
     blue = _read_points(args.blue)
     red = _read_points(args.red)
     t0 = time.perf_counter()
-    stats = {"events": None, "candidates": None}
+    stats = {"events": None, "candidates": None, "evaluated": None}
     translation = None
     if args.solver == "emd":
         metric = Metric.parse(args.metric)
@@ -99,7 +99,7 @@ def _cmd_solve(args) -> int:
         algorithm = args.algorithm
     else:  # emdut-hd
         metric = Metric.parse(args.metric)
-        value, tau, phi, stats["candidates"] = emdut_hd(
+        value, tau, phi, stats["candidates"], stats["evaluated"] = emdut_hd(
             blue, red, metric, args.budget, return_stats=True
         )
         translation = tau

@@ -4,19 +4,33 @@ For a fixed matching the cost is piecewise linear in the translation;
 its pieces are delimited by a finite hyperplane family depending only on
 the input points (axis alignments for L1, plus pairwise +/- coordinate
 balances for Linf).  Some optimal translation is therefore a vertex of
-the arrangement of those hyperplanes, and the solver evaluates the exact
-EMD at every vertex.
+the arrangement of those hyperplanes.
 
-For L1 all hyperplanes are axis-aligned, so the vertex set is simply the
-Cartesian product of the per-axis alignment offsets and is generated
-directly.  Linf in dimension >= 2 needs genuine vertex enumeration over
-d-subsets of the hyperplane family; a candidate budget guards the
-combinatorial growth.
+For L1 every hyperplane is axis-aligned, so the vertices are the
+Cartesian product of the per-axis offsets r_a - b_a.  Planar Linf is L1
+after the change of coordinates (x, y) -> ((x+y)/2, (x-y)/2), whose
+breaklines are the diagonals, so it searches the same product on that
+rotated grid.  Both map the points into their frame once and scale them
+by the lcm of the denominators; the search then runs on integers, and
+only the answer and the single witness solve leave them.
+
+The product is never built.  The L1 cost at tau is at least
+sum_a g_a(tau_a), where g_a is the 1D partial-matching EMD of axis a
+alone, so the search walks the product depth-first, each axis in
+ascending g_a order, and cuts a branch once its bound is strictly above
+the best value found.  Only the surviving translations get a Hungarian
+solve.  Ties are never cut, so the lexicographically smallest optimal
+translation, in the original coordinates, is the one reported.
+
+Linf in dimension >= 3 evaluates the exact EMD at every vertex of the
+full arrangement.  A candidate budget, checked against the candidate
+count before anything is enumerated, guards both paths.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -145,26 +159,119 @@ def arrangement_vertices(
     return tuple(sorted(vertices))
 
 
+def _grid_frame(blue: PointSet, red: PointSet, metric: Metric):
+    """(blues, reds, den, rotated): integer points of the grid search.
+
+    Frame L1 distances are the metric's distances times ``den``; planar
+    Linf is rotated, every other grid case keeps its coordinates.
+    """
+    rotated = metric is Metric.LINF and blue.dim == 2
+    if rotated:
+        blue, red = rotate_45_to_l1(blue), rotate_45_to_l1(red)
+    pts = blue.points + red.points
+    den = math.lcm(*{c.denominator for p in pts for c in p})
+
+    def scale(ps):
+        return [tuple(c.numerator * (den // c.denominator) for c in p) for p in ps]
+
+    return scale(blue.points), scale(red.points), den, rotated
+
+
+def _grid_offsets(bs, rs, budget: int) -> tuple[list[list[int]], int]:
+    """Sorted per-axis offsets r_a - b_a and the size of their product."""
+    offsets = [
+        sorted({r[a] - b[a] for b in bs for r in rs}) for a in range(len(bs[0]))
+    ]
+    total = math.prod(len(ax) for ax in offsets)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    return offsets, total
+
+
+def _unrotate(tau: tuple[int, ...], rotated: bool) -> tuple[int, ...]:
+    """A frame translation in original coordinates (same denominator)."""
+    return (tau[0] + tau[1], tau[0] - tau[1]) if rotated else tau
+
+
+def _emd_1d_sorted(bs: Sequence[int], rs: Sequence[int], shift: int) -> int:
+    """1D EMD of sorted ``bs`` shifted by ``shift`` into sorted ``rs``.
+
+    The match-or-skip DP of ``emd_1d_monotone`` on one rolling row: after
+    blue i, row[k] is the cheapest monotone matching of blues 0..i into
+    reds 0..i+k.
+    """
+    slack = len(rs) - len(bs)
+    row = [0] * (slack + 1)
+    for i, b in enumerate(bs):
+        b += shift
+        best = None
+        for k in range(slack + 1):
+            take = row[k] + abs(b - rs[i + k])
+            if best is None or take < best:
+                best = take
+            row[k] = best
+    return row[slack]
+
+
+def _grid_search(bs, rs, offsets, rotated: bool) -> tuple[int, tuple[int, ...], int]:
+    """(value, tau, evaluated): the frame optimum, tau in original coordinates.
+
+    Branch and bound over the offset product with the separable bound
+    sum_a g_a(tau_a); a branch is cut only when its bound is strictly
+    above the incumbent, so every optimal translation is evaluated.
+    """
+    d = len(offsets)
+    orders = []
+    for a, offs in enumerate(offsets):
+        ba = sorted(b[a] for b in bs)
+        ra = sorted(r[a] for r in rs)
+        orders.append(sorted((_emd_1d_sorted(ba, ra, t), t) for t in offs))
+    rest = [0] * (d + 1)  # rest[a]: sum of the smallest bounds of axes a..
+    for a in range(d - 1, -1, -1):
+        rest[a] = rest[a + 1] + orders[a][0][0]
+    best_v = best_tau = None
+    evaluated = 0
+
+    def walk(a: int, bound: int, prefix: tuple[int, ...]) -> None:
+        nonlocal best_v, best_tau, evaluated
+        for g, t in orders[a]:
+            if best_v is not None and bound + g + rest[a + 1] > best_v:
+                break  # g ascends, so the later offsets of this axis are cut too
+            tau = prefix + (t,)
+            if a + 1 < d:
+                walk(a + 1, bound + g, tau)
+                continue
+            evaluated += 1
+            v = _min_cost_assignment(_cost_matrix(bs, rs, Metric.L1, tau))[0]
+            tau = _unrotate(tau, rotated)
+            if best_v is None or v < best_v or (v == best_v and tau < best_tau):
+                best_v, best_tau = v, tau
+
+    walk(0, 0, ())
+    return best_v, best_tau, evaluated
+
+
 def candidate_translations(
     blue: PointSet, red: PointSet, metric: Metric, budget: int = DEFAULT_BUDGET
 ) -> tuple[Point, ...]:
-    """The exact finite set of translations the solver will evaluate."""
+    """The exact finite set of translations the solver searches, sorted.
+
+    For L1 and planar Linf this is the (rotated) offset grid in original
+    coordinates; the solver walks it lazily and evaluates only the part
+    its lower bound cannot rule out.
+    """
     if blue.dim != red.dim:
         raise ValueError("dimension mismatch")
     d = blue.dim
     if len(blue) == 0 or len(red) == 0:
         return ()
-    if metric is Metric.L1 or d == 1:
-        per_axis = [
-            sorted({r[i] - b[i] for b in blue.points for r in red.points})
-            for i in range(d)
-        ]
-        total = 1
-        for ax in per_axis:
-            total *= len(ax)
-        if total > budget:
-            raise BudgetExceeded(total, budget)
-        return tuple(itertools.product(*per_axis))
+    if metric is Metric.L1 or d <= 2:
+        bs, rs, den, rotated = _grid_frame(blue, red, metric)
+        offsets, _ = _grid_offsets(bs, rs, budget)
+        return tuple(sorted(
+            tuple(Fraction(c, den) for c in _unrotate(tau, rotated))
+            for tau in itertools.product(*offsets)
+        ))
     return arrangement_vertices(hyperplanes_linf(blue, red), d, budget)
 
 
@@ -191,7 +298,7 @@ def emdut_hd(
     smallest optimal translation and a witness matching there.
 
     Returns (value, tau, matching); with ``return_stats=True`` the number
-    of candidate translations evaluated is appended.
+    of candidate translations and the number evaluated are appended.
     """
     if blue.dim != red.dim:
         raise ValueError("dimension mismatch")
@@ -201,17 +308,24 @@ def emdut_hd(
     d = blue.dim
     if m == 0:
         out = Fraction(0), zero_point(d), ()
-        return (*out, 0) if return_stats else out
-    candidates = candidate_translations(blue, red, metric, budget)
-    best_v = None
-    best_tau = None
-    for tau in candidates:
-        v = emd_value_at(blue, red, metric, tau)
-        if best_v is None or v < best_v or (v == best_v and tau < best_tau):
-            best_v, best_tau = v, tau
+        return (*out, 0, 0) if return_stats else out
+    if metric is Metric.L1 or d <= 2:
+        bs, rs, den, rotated = _grid_frame(blue, red, metric)
+        offsets, candidates = _grid_offsets(bs, rs, budget)
+        value, tau, evaluated = _grid_search(bs, rs, offsets, rotated)
+        best_v = Fraction(value, den)
+        best_tau = tuple(Fraction(c, den) for c in tau)
+    else:
+        vertices = candidate_translations(blue, red, metric, budget)
+        best_v = best_tau = None
+        for tau in vertices:
+            v = emd_value_at(blue, red, metric, tau)
+            if best_v is None or v < best_v or (v == best_v and tau < best_tau):
+                best_v, best_tau = v, tau
+        candidates = evaluated = len(vertices)
     cost = _cost_matrix(blue.points, red.points, metric, best_tau)
     out = best_v, best_tau, tuple(_lex_min_assignment(cost)[1])
-    return (*out, len(candidates)) if return_stats else out
+    return (*out, candidates, evaluated) if return_stats else out
 
 
 def rotate_45_to_l1(ps: PointSet) -> PointSet:

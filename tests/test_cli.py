@@ -62,7 +62,7 @@ def test_solve_emd_and_hd(capsys, tmp_path):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["stats"]["candidates"] >= 1
+    assert 1 <= payload["stats"]["evaluated"] <= payload["stats"]["candidates"]
     assert len(payload["translation"]) == 2
     code, out, _ = run(
         capsys, ["solve", "emd", "--blue", str(blue), "--red", str(red)]

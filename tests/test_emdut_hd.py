@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -140,6 +141,76 @@ def test_emdut_hd_linf_three_dimensional():
         )
         assert value == best
         assert matching_cost(B, R, Metric.LINF, phi, tau) == value
+
+
+def _rational_planar(rng, count):
+    """Planar points with coprime denominators, about a third of them repeats."""
+    pts = []
+    for _ in range(count):
+        if pts and rng.random() < 0.35:
+            pts.append(rng.choice(pts))
+        else:
+            pts.append(tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7)))
+                             for _ in range(2)))
+    return point_set(2, pts)
+
+
+def test_planar_linf_matches_full_arrangement_bruteforce():
+    # Planar Linf searches the rotated L1 grid; this oracle searches every
+    # vertex of the full axis-plus-diagonal arrangement instead.
+    rng = random.Random(27)
+    for _ in range(120):
+        m = rng.randint(1, 3)
+        n = rng.randint(m, 3)
+        B, R = _rational_planar(rng, m), _rational_planar(rng, n)
+        if rng.random() < 0.5:  # a blue point also among the reds
+            R = point_set(2, R.points[:-1] + (rng.choice(B.points),))
+        verts = arrangement_vertices(hyperplanes_linf(B, R), 2)
+        values = {t: emd_bruteforce(B.translate(t), R, Metric.LINF) for t in verts}
+        best = min(values.values())
+        lex = min(t for t, v in values.items() if v == best)
+        assert emdut_hd(B, R, Metric.LINF)[:2] == (best, lex)
+
+
+def test_pruning_keeps_the_lexicographically_smallest_optimum():
+    # Equal-size sets on a 3x3 grid have many optimal translations; a cut
+    # that also drops branches whose bound only ties the incumbent loses
+    # the smallest of them.
+    rng = random.Random(28)
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        B, R = (point_set(2, [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(m)])
+                for _side in range(2))
+        for metric in (Metric.L1, Metric.LINF):
+            value, tau = min(
+                (emd_hungarian(B.translate(t), R, metric)[0], t)
+                for t in candidate_translations(B, R, metric)
+            )
+            phi = emd_hungarian(B.translate(tau), R, metric)[1]
+            assert emdut_hd(B, R, metric) == (value, tau, phi)
+
+
+def test_grid_search_never_builds_the_candidate_product():
+    # 18 x 18 points with distinct offsets: 18^4 = 104976 candidates, whose
+    # product alone would take several MB.  The reds are a noisy translate
+    # of the blues, so the bound leaves only a handful of Hungarian solves.
+    rng = random.Random(29)
+    B = point_set(2, [(rng.randint(0, 10**6), rng.randint(0, 10**6))
+                      for _ in range(18)])
+    R = point_set(2, [(x + 1000 + rng.randint(-50, 50), y - 2000 + rng.randint(-50, 50))
+                      for x, y in B.points])
+    tracemalloc.start()
+    try:
+        value, tau, phi, candidates, evaluated = emdut_hd(
+            B, R, Metric.L1, return_stats=True
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert candidates >= 10**5
+    assert 1 <= evaluated < candidates
+    assert peak < 2**20
+    assert matching_cost(B, R, Metric.L1, phi, tau) == value
 
 
 def test_rotation_examples():
