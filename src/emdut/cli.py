@@ -25,9 +25,10 @@ from .core import (
     serialize_point_set,
 )
 from .emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
+from .emdut_hd import DEFAULT_BUDGET, BudgetExceeded, emdut_hd
 # candidate_translations is unused here but kept importable: the benchmark's
 # tracer patches ``emdut.cli.candidate_translations`` by name.
-from .emdut_hd import BudgetExceeded, candidate_translations, emdut_hd  # noqa: F401
+from .emdut_hd import candidate_translations  # noqa: F401
 from .hardness import (
     Graph,
     OVInstance,
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             sp.add_argument("--metric", default="l1", help="l1 or linf")
-            sp.add_argument("--budget", type=int, default=10_000_000,
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                             help="candidate-enumeration budget")
 
     gen = sub.add_parser("gen", help="generate a hardness instance")

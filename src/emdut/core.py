@@ -8,6 +8,7 @@ equality, and epsilon logic would corrupt their ordering.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -16,6 +17,12 @@ from typing import Iterable, Sequence
 Scalar = Fraction
 Point = tuple[Fraction, ...]
 Matching = tuple[int, ...]
+
+# ``Fraction`` expands every digit a literal denotes ("1e999999999" would
+# run for hours), so literals are bounded; two 4300-digit parts still fit.
+_MAX_EXPONENT = 100_000
+_MAX_LITERAL = 20_000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 
 
 class Metric(Enum):
@@ -43,17 +50,25 @@ def scalar(value) -> Fraction:
     """Coerce an int, Fraction, or string ("7", "3/4", "-0.25") to an exact Scalar.
 
     Floats are rejected: they would smuggle binary rounding into the
-    exact pipeline.
+    exact pipeline.  So are literals past ``_MAX_LITERAL`` or ``_MAX_EXPONENT``.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
+        if len(value) > _MAX_LITERAL:
+            raise ValueError(f"literal longer than {_MAX_LITERAL} characters")
+        exp = _EXPONENT.search(value)
+        if exp:
+            digits = exp.group(1).replace("_", "").lstrip("0")
+            if (len(digits) > len(str(_MAX_EXPONENT))
+                    or int(digits or 0) > _MAX_EXPONENT):
+                raise ValueError(f"decimal exponent above {_MAX_EXPONENT}: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational literal: {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
     raise TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
 
 
@@ -149,11 +164,20 @@ def zero_point(dim: int) -> Point:
     return (Fraction(0),) * dim
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str limit."""
+    if n.bit_length() <= 2000:  # below CPython's smallest limit, 640 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits, so hi >= 1
+    hi, lo = divmod(abs(n), 10**k)
+    return "-" * (n < 0) + _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def format_scalar(x: Fraction) -> str:
     """Render reduced: "p" when integral, "p/q" otherwise."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def parse_point_set(text: str) -> PointSet:
@@ -183,13 +207,10 @@ def parse_point_set(text: str) -> PointSet:
             raise PointFormatError(
                 idx, f"expected {dim} coordinates, got {len(fields)}"
             )
-        coords = []
-        for f in fields:
-            try:
-                coords.append(Fraction(f))
-            except (ValueError, ZeroDivisionError):
-                raise PointFormatError(idx, f"not an exact rational literal: {f!r}")
-        rows.append(tuple(coords))
+        try:
+            rows.append(tuple(scalar(f) for f in fields))
+        except ValueError as exc:
+            raise PointFormatError(idx, str(exc)) from None
     if dim is None:
         raise PointFormatError(1, "empty input: missing dimension line")
     return PointSet(dim, tuple(rows))

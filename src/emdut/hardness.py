@@ -13,8 +13,11 @@ or exceeds it by at least 1 (no-instances):
 Each generator returns a :class:`GadgetInstance` carrying the combined
 point sets, the exact threshold, the unshifted gadget list, and every
 construction constant, so tests can recompute the threshold
-independently.  The decision procedures solve the generated instances
-with the solver modules and compare against the threshold.
+independently.  The decisions compare the EMDuT with the threshold:
+the 1D sweep solves OV instances, and :func:`emdut_hd` the combined L1
+clique instances.  ``linf-sym`` is beyond the solver, so its value is
+the witness-grid minimum of the summed gadget costs: >= lam + 1 on
+no-instances by the construction, but not the EMDuT.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .core import Metric, PointSet, point_set, point_set_1d
 from .emd import _cost_matrix, _min_cost_assignment
-from .emdut_hd import BudgetExceeded, DEFAULT_BUDGET
+from .emdut_hd import DEFAULT_BUDGET, emdut_hd
 from .sweep1d import emdut_1d_sweep
 
 OV_PAIR_GUARD = 4_000_000  # max |B|*|R| the 1D decision procedure accepts
@@ -464,33 +467,6 @@ def decomposed_value(
     return Fraction(best)
 
 
-def l1_part_candidates(
-    parts: Sequence[tuple[PointSet, PointSet]], budget: int = DEFAULT_BUDGET
-):
-    """Arrangement-complete candidate grid for the decomposed L1 objective.
-
-    For fixed per-gadget matchings the summed cost separates per axis and
-    is minimized on a box whose corners have each coordinate equal to
-    some within-gadget alignment offset, so the Cartesian product of the
-    per-axis offset sets contains an optimal translation.
-    """
-    dim = parts[0][0].dim
-    per_axis = []
-    for a in range(dim):
-        offs = set()
-        for b, r in parts:
-            for pb in b.points:
-                for pr in r.points:
-                    offs.add(int(pr[a] - pb[a]))
-        per_axis.append(sorted(offs))
-    total = 1
-    for ax in per_axis:
-        total *= len(ax)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    return itertools.product(*per_axis)
-
-
 def clique_witness_grid(k: int, n_nodes: int, variant: str):
     """Integer translations at which yes-instances attain the threshold.
 
@@ -508,25 +484,26 @@ def clique_witness_grid(k: int, n_nodes: int, variant: str):
 def clique_instance_value(gi: GadgetInstance, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Solver value used by the clique decision.
 
-    L1 variants minimize the decomposed objective over the
-    arrangement-complete offset grid, which is the exact optimum.  The
-    Linf variant minimizes over the integer witness grid: exact on
-    yes-instances, and a certified >= lam + 1 bound otherwise (full
-    arrangement enumeration in dimension 2k+1 exceeds any sane budget).
+    L1 variants return the exact EMDuT of the combined instance, solved
+    by :func:`emdut_hd`.  The Linf variant returns the minimum of the
+    summed gadget costs over the integer witness grid, which is not the
+    EMDuT: it equals lam on yes-instances and is >= lam + 1 on
+    no-instances by the construction (the full arrangement in dimension
+    2k+1 is far beyond any budget).
     """
-    k, n_nodes = gi.meta["k"], gi.meta["N"]
     if gi.metric is Metric.L1:
-        cands = l1_part_candidates(gi.parts, budget)
-    else:
-        cands = clique_witness_grid(k, n_nodes, gi.meta["variant"])
+        return emdut_hd(gi.blue, gi.red, Metric.L1, budget)[0]
+    cands = clique_witness_grid(gi.meta["k"], gi.meta["N"], gi.meta["variant"])
     return decomposed_value(gi.parts, gi.metric, cands)
 
 
 def decide_clique(g: Graph, k: int, variant: str) -> bool:
-    """True iff the generated instance solves to a value at or below lam.
+    """True iff :func:`clique_instance_value` is at or below lam.
 
-    Graphs without edges short-circuit to False: the generators reject
-    them, and no clique on k >= 2 nodes exists without an edge.
+    That is the exact EMDuT for the L1 variants and the witness-grid
+    minimum for ``linf-sym``.  Graphs without edges short-circuit to
+    False: the generators reject them, and no clique on k >= 2 nodes
+    exists without an edge.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

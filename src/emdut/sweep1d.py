@@ -35,9 +35,9 @@ from .emd import emd_1d_monotone
 from .envelope import NaiveEnvelope, TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
-# ``auto`` runs the list envelope: it beats the tree at every measured run
-# size (m = 65..400); the tree stays as a differential reference.
-_ENVELOPES = {"auto": NaiveEnvelope, "naive": NaiveEnvelope, "tree": TreeEnvelope}
+# The list envelope beats the tree at every measured run size (m = 65..400);
+# the tree stays as a differential reference.
+_ENVELOPES = {"naive": NaiveEnvelope, "tree": TreeEnvelope}
 
 
 class SweepStats(NamedTuple):
@@ -321,7 +321,7 @@ def emdut_1d_sweep(
     blue: PointSet,
     red: PointSet,
     *,
-    envelope: str = "auto",
+    envelope: str = "naive",
     return_stats: bool = False,
     collect_pieces: bool = False,
     check: bool = False,
@@ -330,8 +330,8 @@ def emdut_1d_sweep(
 
     Returns (value, tau, matching) where tau is the smallest optimal
     translation; with ``return_stats=True`` a :class:`SweepStats` is
-    appended.  ``envelope`` picks the run envelope: ``auto`` and ``naive``
-    run the list, ``tree`` the balanced tree.  ``check`` enables internal
+    appended.  ``envelope`` picks the run envelope: ``naive`` runs the
+    list, ``tree`` the balanced tree.  ``check`` enables internal
     invariant assertions.
     """
     envelope_cls = _ENVELOPES.get(envelope)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import emdut
 from emdut.cli import main
 from emdut.core import parse_point_set
 from emdut.hardness import OVInstance, ov_reduction
@@ -100,6 +106,40 @@ def test_exit_codes(capsys, files, tmp_path):
          "--metric", "linf", "--budget", "3"],
     )
     assert code == 1 and "budget" in err
+
+
+def test_huge_exponent_exits_2_naming_the_line(tmp_path):
+    # A child process, so that a parse which expands the exponent fails
+    # on the timeout instead of hanging the suite.
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text("1\n1e999999999\n")
+    red.write_text("1\n0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(emdut.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "emdut.cli", "solve", "emdut1d",
+         "--blue", str(blue), "--red", str(red)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2 and "line 2" in proc.stderr
+    assert time.perf_counter() - t0 < 10
+
+
+def test_output_past_the_int_str_digit_limit(capsys, tmp_path):
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text("1\n1e-5000\n1e-5000\n")
+    red.write_text("1\n1e5000\n3e5000\n")
+    code, out, err = run(
+        capsys, ["solve", "emdut1d", "--blue", str(blue), "--red", str(red)]
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    # |tau + eps - 10^5000| + |tau + eps - 3*10^5000| is smallest from
+    # tau = 10^5000 - 10^-5000 on
+    assert payload["value"] == "2" + "0" * 5000
+    assert payload["translation"] == ["9" * 10000 + "/1" + "0" * 5000]
 
 
 def test_gen_ov_files_and_sidecar(capsys, tmp_path):

@@ -163,3 +163,35 @@ def test_serialize_round_trip():
 def test_format_scalar_reduced():
     assert format_scalar(F(4, 2)) == "2"
     assert format_scalar(F(-3, 6)) == "-1/2"
+
+
+def test_literal_bounds_and_output_past_the_int_str_limit():
+    # small enough that Fraction would still finish if the bound were gone
+    for text in ("1e100001", "-2.5E-100001", "1e+1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            scalar(text)
+    with pytest.raises(PointFormatError) as err:
+        parse_point_set("1\n0\n1e1000000\n")
+    assert err.value.line_no == 3
+    with pytest.raises(PointFormatError, match="longer") as err:
+        parse_point_set("1\n0." + "1" * 10**6 + "\n")
+    assert err.value.line_no == 2
+    # the longest literals Fraction admits still parse: 99...9 / 77...7
+    assert scalar("_".join("9" * 4300) + "/" + "7" * 4300) == F(9, 7)
+    # the largest admitted exponent parses, and prints in full
+    big = scalar("-3e100000")
+    assert format_scalar(big) == "-3" + "0" * 100000
+    assert format_scalar(F(7, 10**5000)) == "7/1" + "0" * 5000
+    rng = random.Random(6)
+    for _ in range(50):
+        n = rng.randrange(10 ** rng.randint(0, 6000))
+        assert format_scalar(F(n)) == _digits(n)
+
+
+def _digits(n):
+    # independent oracle: 300-digit chunks from the low end
+    chunks = []
+    while n >= 10**300:
+        n, r = divmod(n, 10**300)
+        chunks.append(str(r).zfill(300))
+    return str(n) + "".join(reversed(chunks))

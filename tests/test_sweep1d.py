@@ -85,18 +85,8 @@ def test_sweep_backends_agree_at_auto_cutoff_scale():
     R = point_set_1d([rng.randint(-500, 500) for _ in range(120)])
     tree = emdut_1d_sweep(B, R, envelope="tree")
     naive = emdut_1d_sweep(B, R, envelope="naive")
-    auto = emdut_1d_sweep(B, R)
-    assert tree == naive == auto
-
-
-def test_auto_runs_the_list_envelope_above_64_blues():
-    rng = random.Random(809)
-    B = point_set_1d([rng.randint(-500, 500) for _ in range(80)])
-    R = point_set_1d([rng.randint(-500, 500) for _ in range(120)])
-    auto = emdut_1d_sweep(B, R, return_stats=True)
-    naive = emdut_1d_sweep(B, R, envelope="naive", return_stats=True)
-    assert auto == naive  # event counts included
-    assert auto[3].reassignment_events > 0
+    default = emdut_1d_sweep(B, R)
+    assert tree == naive == default
 
 
 def test_check_mode_holds_on_runs_longer_than_8_blues():
@@ -115,7 +105,7 @@ def test_check_mode_holds_on_runs_longer_than_8_blues():
 
 def test_sweep_rejects_unknown_envelope_kind():
     for blue in (point_set_1d([]), point_set_1d([0, 1])):
-        with pytest.raises(ValueError, match="auto, naive, tree"):
+        with pytest.raises(ValueError, match="naive, tree"):
             emdut_1d_sweep(blue, point_set_1d([0, 2, 3]), envelope="bogus")
 
 
