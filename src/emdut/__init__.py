@@ -31,7 +31,6 @@ from .emdut_hd import (
     arrangement_vertices,
     candidate_translations,
     emdut_hd,
-    hyperplanes_l1,
     hyperplanes_linf,
     rotate_45_to_l1,
 )

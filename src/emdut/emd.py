@@ -10,11 +10,13 @@ injective blue-to-red matching):
 * ``emd_bruteforce``   -- factorial enumeration, the test oracle.
 
 Every cost matrix, here and in the translation solvers, comes from
-:func:`_cost_matrix`.  Every Hungarian solve runs on integer-scaled costs
-(:func:`_as_int_matrix` multiplies by the lcm of the denominators), and
-the lexicographically smallest optimal witness comes from that same
-single solve: :func:`_lex_min_assignment` appends the assignment, read as
-a base-n number, below the lowest digit of the scaled cost.
+:func:`_cost_matrix`, and rationals become integers only in
+:func:`_as_int_matrix`: each solve scales its points (with the
+translation, if any) once by the lcm of their denominators, so every
+Hungarian cost matrix is built from ints.  The lexicographically
+smallest optimal witness comes from that same single solve:
+:func:`_lex_min_assignment` appends the assignment, read as a base-n
+number, below the lowest digit of the integer cost.
 """
 
 from __future__ import annotations
@@ -148,29 +150,32 @@ def _cost_matrix(blues, reds, metric: Metric, tau=None) -> list[list]:
 
 
 def _as_int_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(integer matrix, den) with rows == integer matrix / den exactly."""
+    """(integer rows, den) with rows == integer rows / den exactly.
+
+    Rows are point coordinates, plus a translation framed with them; the
+    distances of scaled rows are the true distances times ``den``.
+    """
     den = math.lcm(*{x.denominator for row in rows for x in row})
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _lex_min_assignment(cost: Sequence[Sequence]) -> tuple[Fraction, list[int]]:
-    """Optimal value and the lexicographically smallest optimal assignment.
+def _lex_min_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Optimal total and the lexicographically smallest optimal assignment.
 
     One solve on the integer costs c*n^m + j*n^(m-1-i): the perturbations
     of any assignment sum to that assignment read as a base-n number,
     which stays below n^m, so the perturbed optimum is the smallest
-    optimal assignment and the optimal value is total // n^m.
+    optimal assignment and the optimal total is total // n^m.
     """
     m = len(cost)
     n = len(cost[0])
-    ints, den = _as_int_matrix(cost)
     scale = n**m
     perturbed = []
-    for i, row in enumerate(ints):
+    for i, row in enumerate(cost):
         digit = n ** (m - 1 - i)
         perturbed.append([c * scale + j * digit for j, c in enumerate(row)])
     total, assignment = _min_cost_assignment(perturbed)
-    return Fraction(total // scale, den), assignment
+    return total // scale, assignment
 
 
 def emd_hungarian(
@@ -191,9 +196,9 @@ def emd_hungarian(
         raise ValueError(f"|B| = {m} exceeds |R| = {n}")
     if m == 0:
         return Fraction(0), ()
-    cost = _cost_matrix(blue.points, red.points, metric)
-    value, assignment = _lex_min_assignment(cost)
-    return value, tuple(assignment)
+    ints, den = _as_int_matrix(blue.points + red.points)
+    total, assignment = _lex_min_assignment(_cost_matrix(ints[:m], ints[m:], metric))
+    return Fraction(total, den), tuple(assignment)
 
 
 def emd_bruteforce(blue: PointSet, red: PointSet, metric: Metric) -> Fraction:

@@ -7,12 +7,12 @@ balances for Linf).  Some optimal translation is therefore a vertex of
 the arrangement of those hyperplanes.
 
 For L1 every hyperplane is axis-aligned, so the vertices are the
-Cartesian product of the per-axis offsets r_a - b_a.  Planar Linf is L1
-after the change of coordinates (x, y) -> ((x+y)/2, (x-y)/2), whose
+Cartesian product of the per-axis offsets r_a - b_a.  Planar Linf is
+L1, halved, after the change of coordinates (x, y) -> (x+y, x-y), whose
 breaklines are the diagonals, so it searches the same product on that
-rotated grid.  Both map the points into their frame once and scale them
-by the lcm of the denominators; the search then runs on integers, and
-only the answer and the single witness solve leave them.
+rotated grid.  Both scale the points once by the lcm of their
+denominators and rotate those integers; the search and the witness solve
+run in that frame, and only the answer leaves it.
 
 The product is never built.  The L1 cost at tau is at least
 sum_a g_a(tau_a), where g_a is the 1D partial-matching EMD of axis a
@@ -81,13 +81,6 @@ def _axis_planes(blue: PointSet, red: PointSet) -> list[Hyperplane]:
                 seen.add(hp)
                 planes.append(hp)
     return planes
-
-
-def hyperplanes_l1(blue: PointSet, red: PointSet) -> list[Hyperplane]:
-    """Axis-alignment hyperplanes tau_i = r_i - b_i, de-duplicated."""
-    if blue.dim != red.dim:
-        raise ValueError("dimension mismatch")
-    return _axis_planes(blue, red)
 
 
 def hyperplanes_linf(blue: PointSet, red: PointSet) -> list[Hyperplane]:
@@ -162,19 +155,16 @@ def arrangement_vertices(
 def _grid_frame(blue: PointSet, red: PointSet, metric: Metric):
     """(blues, reds, den, rotated): integer points of the grid search.
 
-    Frame L1 distances are the metric's distances times ``den``; planar
-    Linf is rotated, every other grid case keeps its coordinates.
+    Frame L1 distances are the metric's distances times ``den``.  Planar
+    Linf is rotated to (x+y, x-y), which doubles distances and so ``den``.
     """
+    ints, den = _as_int_matrix(blue.points + red.points)
     rotated = metric is Metric.LINF and blue.dim == 2
     if rotated:
-        blue, red = rotate_45_to_l1(blue), rotate_45_to_l1(red)
-    pts = blue.points + red.points
-    den = math.lcm(*{c.denominator for p in pts for c in p})
-
-    def scale(ps):
-        return [tuple(c.numerator * (den // c.denominator) for c in p) for p in ps]
-
-    return scale(blue.points), scale(red.points), den, rotated
+        ints = [(x + y, x - y) for x, y in ints]
+        den *= 2
+    m = len(blue)
+    return ints[:m], ints[m:], den, rotated
 
 
 def _grid_offsets(bs, rs, budget: int) -> tuple[list[list[int]], int]:
@@ -213,8 +203,8 @@ def _emd_1d_sorted(bs: Sequence[int], rs: Sequence[int], shift: int) -> int:
     return row[slack]
 
 
-def _grid_search(bs, rs, offsets, rotated: bool) -> tuple[int, tuple[int, ...], int]:
-    """(value, tau, evaluated): the frame optimum, tau in original coordinates.
+def _grid_search(bs, rs, offsets, rotated: bool):
+    """(tau, frame_tau, evaluated): the optimum, unrotated and in the frame.
 
     Branch and bound over the offset product with the separable bound
     sum_a g_a(tau_a); a branch is cut only when its bound is strictly
@@ -229,11 +219,11 @@ def _grid_search(bs, rs, offsets, rotated: bool) -> tuple[int, tuple[int, ...], 
     rest = [0] * (d + 1)  # rest[a]: sum of the smallest bounds of axes a..
     for a in range(d - 1, -1, -1):
         rest[a] = rest[a + 1] + orders[a][0][0]
-    best_v = best_tau = None
+    best_v = best_tau = best_frame = None
     evaluated = 0
 
     def walk(a: int, bound: int, prefix: tuple[int, ...]) -> None:
-        nonlocal best_v, best_tau, evaluated
+        nonlocal best_v, best_tau, best_frame, evaluated
         for g, t in orders[a]:
             if best_v is not None and bound + g + rest[a + 1] > best_v:
                 break  # g ascends, so the later offsets of this axis are cut too
@@ -243,12 +233,12 @@ def _grid_search(bs, rs, offsets, rotated: bool) -> tuple[int, tuple[int, ...], 
                 continue
             evaluated += 1
             v = _min_cost_assignment(_cost_matrix(bs, rs, Metric.L1, tau))[0]
-            tau = _unrotate(tau, rotated)
-            if best_v is None or v < best_v or (v == best_v and tau < best_tau):
-                best_v, best_tau = v, tau
+            orig = _unrotate(tau, rotated)
+            if best_v is None or v < best_v or (v == best_v and orig < best_tau):
+                best_v, best_tau, best_frame = v, orig, tau
 
     walk(0, 0, ())
-    return best_v, best_tau, evaluated
+    return best_tau, best_frame, evaluated
 
 
 def candidate_translations(
@@ -276,14 +266,21 @@ def candidate_translations(
 
 
 def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction:
-    """Exact EMD of (B + tau, R), solved on the integer-scaled cost matrix."""
-    if len(blue) == 0:
+    """Exact EMD of (B + tau, R), solved in the integer frame of B, R and tau."""
+    if blue.dim != red.dim:
+        raise ValueError("blue and red dimension mismatch")
+    m, n = len(blue), len(red)
+    if m > n:
+        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    if len(tau) != blue.dim:
+        raise ValueError(f"translation has {len(tau)} coordinates, expected {blue.dim}")
+    if m == 0:
         return Fraction(0)
-    rows = _cost_matrix(blue.points, red.points, metric, tau)
-    if len(rows) == 1:
-        return min(rows[0])
-    ints, den = _as_int_matrix(rows)
-    return Fraction(_min_cost_assignment(ints)[0], den)
+    ints, den = _as_int_matrix(blue.points + red.points + (tau,))
+    rows = _cost_matrix(ints[:m], ints[m:-1], metric, ints[-1])
+    if m == 1:
+        return Fraction(min(rows[0]), den)
+    return Fraction(_min_cost_assignment(rows)[0], den)
 
 
 def emdut_hd(
@@ -312,19 +309,19 @@ def emdut_hd(
     if metric is Metric.L1 or d <= 2:
         bs, rs, den, rotated = _grid_frame(blue, red, metric)
         offsets, candidates = _grid_offsets(bs, rs, budget)
-        value, tau, evaluated = _grid_search(bs, rs, offsets, rotated)
-        best_v = Fraction(value, den)
+        tau, frame_tau, evaluated = _grid_search(bs, rs, offsets, rotated)
         best_tau = tuple(Fraction(c, den) for c in tau)
+        frame_metric = Metric.L1
     else:
         vertices = candidate_translations(blue, red, metric, budget)
-        best_v = best_tau = None
-        for tau in vertices:
-            v = emd_value_at(blue, red, metric, tau)
-            if best_v is None or v < best_v or (v == best_v and tau < best_tau):
-                best_v, best_tau = v, tau
+        best_tau = min(vertices, key=lambda t: (emd_value_at(blue, red, metric, t), t))
         candidates = evaluated = len(vertices)
-    cost = _cost_matrix(blue.points, red.points, metric, best_tau)
-    out = best_v, best_tau, tuple(_lex_min_assignment(cost)[1])
+        ints, den = _as_int_matrix(blue.points + red.points + (best_tau,))
+        bs, rs, frame_tau = ints[:m], ints[m:-1], ints[-1]
+        frame_metric = metric
+    # frame costs are den times the metric's: same witness, value total/den
+    total, phi = _lex_min_assignment(_cost_matrix(bs, rs, frame_metric, frame_tau))
+    out = Fraction(total, den), best_tau, tuple(phi)
     return (*out, candidates, evaluated) if return_stats else out
 
 

@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Metric, PointSet, point_set, point_set_1d
-from .emd import _cost_matrix, _min_cost_assignment
-from .emdut_hd import DEFAULT_BUDGET, emdut_hd
+from .emd import _as_int_matrix, _cost_matrix, _min_cost_assignment
+from .emdut_hd import emdut_hd
 from .sweep1d import emdut_1d_sweep
 
 OV_PAIR_GUARD = 4_000_000  # max |B|*|R| the 1D decision procedure accepts
@@ -261,7 +261,7 @@ def combination_spacing(gadgets: Sequence[tuple[PointSet, PointSet]]) -> tuple:
 
 
 def combine_gadgets(
-    gadgets: Sequence[tuple[PointSet, PointSet]], metric: Metric
+    gadgets: Sequence[tuple[PointSet, PointSet]]
 ) -> tuple[PointSet, PointSet]:
     """Concatenate gadgets far apart along axis 1 so costs add per gadget.
 
@@ -324,7 +324,7 @@ def clique_l1_asym(g: Graph, k: int) -> GadgetInstance:
         ]
         parts.append((point_set(d, origin), point_set(d, reds_hi)))
     lam = Fraction(math.comb(k, 2) * (d - 2) * n_nodes)
-    blue, red = combine_gadgets(parts, Metric.L1)
+    blue, red = combine_gadgets(parts)
     meta = {
         "variant": "l1-asym", "k": k, "N": n_nodes, "d": d,
         "edges": len(g.edges), "U": combination_spacing(parts)[1],
@@ -357,7 +357,7 @@ def clique_l1_sym(g: Graph, k: int) -> GadgetInstance:
         parts.append((point_set(d, blues), point_set(d, reds)))
         parts.append((point_set(d, blues_neg), point_set(d, reds_hi)))
     lam = Fraction(math.comb(k, 2) * ((d + 4) * m_edges - 8) * n_nodes)
-    blue, red = combine_gadgets(parts, Metric.L1)
+    blue, red = combine_gadgets(parts)
     meta = {
         "variant": "l1-sym", "k": k, "N": n_nodes, "d": d,
         "edges": m_edges, "U": combination_spacing(parts)[1],
@@ -399,7 +399,7 @@ def clique_linf_sym(g: Graph, k: int) -> GadgetInstance:
         parts.append((point_set(d, blues_neg), point_set(d, reds)))
     lam = Fraction(20 * n_nodes * k * 2 * (k - 1)
                    + 20 * n_nodes * m_edges * math.comb(k, 2))
-    blue, red = combine_gadgets(parts, Metric.LINF)
+    blue, red = combine_gadgets(parts)
     meta = {
         "variant": "linf-sym", "k": k, "N": n_nodes, "d": d,
         "edges": m_edges, "U": combination_spacing(parts)[1],
@@ -427,14 +427,6 @@ def clique_instance(g: Graph, k: int, variant: str) -> GadgetInstance:
 # ---------------------------------------------------------------------------
 
 
-def _int_points(ps: PointSet) -> list[tuple[int, ...]]:
-    out = []
-    for p in ps.points:
-        assert all(c.denominator == 1 for c in p)
-        out.append(tuple(c.numerator for c in p))
-    return out
-
-
 def _part_emd(blues, reds, metric: Metric, tau) -> int:
     rows = _cost_matrix(blues, reds, metric, tau)
     if len(rows) == 1:
@@ -450,12 +442,17 @@ def decomposed_value(
     """min over the candidate translations of the summed per-gadget EMD.
 
     Equals the true optimum whenever the candidate family contains an
-    optimal translation of the decomposed objective.  Candidates whose
-    partial sum already exceeds the best so far are abandoned early.
+    optimal translation of the decomposed objective.  Points and
+    candidates share one integer frame.  Candidates whose partial sum
+    already exceeds the best so far are abandoned early.
     """
-    packed = [(_int_points(b), _int_points(r)) for b, r in parts]
+    ints, den = _as_int_matrix([p for b, r in parts for p in b.points + r.points])
+    rows = iter(ints)
+    packed = [(list(itertools.islice(rows, len(b))), list(itertools.islice(rows, len(r))))
+              for b, r in parts]
     best = None
     for tau in candidates:
+        tau = [t * den for t in tau]
         total = 0
         for blues, reds in packed:
             total += _part_emd(blues, reds, metric, tau)
@@ -464,24 +461,22 @@ def decomposed_value(
         else:
             if best is None or total < best:
                 best = total
-    return Fraction(best)
+    return Fraction(best, den)
 
 
-def clique_witness_grid(k: int, n_nodes: int, variant: str):
-    """Integer translations at which yes-instances attain the threshold.
+def clique_witness_grid(k: int, n_nodes: int):
+    """Translations (v_1..v_k, v_1..v_k, 0) for the ``linf-sym`` decision.
 
     Every generated instance has summed gadget cost >= lam for all
     translations (and >= lam + 1 without the encoded clique), while a
     clique v_1 < ... < v_k attains lam at the grid point built from its
     nodes, so minimizing over this grid decides exactly.
     """
-    reps = {"l1-asym": 1, "l1-sym": 2, "linf-sym": 2}[variant]
-    pad = 1 if variant == "linf-sym" else 0
     for nodes in itertools.product(range(1, n_nodes + 1), repeat=k):
-        yield tuple(nodes) * reps + (0,) * pad
+        yield tuple(nodes) * 2 + (0,)
 
 
-def clique_instance_value(gi: GadgetInstance, budget: int = DEFAULT_BUDGET) -> Fraction:
+def clique_instance_value(gi: GadgetInstance) -> Fraction:
     """Solver value used by the clique decision.
 
     L1 variants return the exact EMDuT of the combined instance, solved
@@ -492,8 +487,8 @@ def clique_instance_value(gi: GadgetInstance, budget: int = DEFAULT_BUDGET) -> F
     2k+1 is far beyond any budget).
     """
     if gi.metric is Metric.L1:
-        return emdut_hd(gi.blue, gi.red, Metric.L1, budget)[0]
-    cands = clique_witness_grid(gi.meta["k"], gi.meta["N"], gi.meta["variant"])
+        return emdut_hd(gi.blue, gi.red, Metric.L1)[0]
+    cands = clique_witness_grid(gi.meta["k"], gi.meta["N"])
     return decomposed_value(gi.parts, gi.metric, cands)
 
 

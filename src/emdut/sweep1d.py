@@ -13,9 +13,10 @@ kinds drive the sweep: alignment events (a blue meets a red, changing a
 slope) and reassignment events (a run suffix shifts to the next reds,
 triggered by a root of the run's envelope).
 
-Internally the sweep rescales all coordinates by the common denominator
-and works in integers, so alignment times are integers and only envelope
-roots can be proper fractions.  Heap keys are float-filtered exact keys
+Internally the sweep scales all coordinates once by the lcm of their
+denominators (``emd._as_int_matrix``), sorts those integers and works on
+them, so alignment times are integers and only envelope roots can be
+proper fractions.  Heap keys are float-filtered exact keys
 ``(float(t), t, ...)``: rounding to float is monotone, so unequal floats
 order the exact times ``t`` correctly, and ``t`` itself decides only when
 the floats tie.  Floats never enter a value, a translation or an
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import PointSet
-from .emd import emd_1d_monotone
+from .emd import _as_int_matrix, emd_1d_monotone
 from .envelope import NaiveEnvelope, TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
@@ -46,16 +47,6 @@ class SweepStats(NamedTuple):
     reassignment_events: int
     pieces: Optional[list]  # (tau_lo, tau_hi, slope, intercept), descaled
     moves: Optional[list]   # (run_bs, run_bt, first_moved_blue), check mode only
-
-
-def _sorted_scaled(ps: PointSet, scale: int) -> tuple[list[int], list[int]]:
-    """Sort 1D points by (coordinate, index); return scaled coords and indices."""
-    order = sorted(range(len(ps)), key=lambda i: (ps.points[i][0], i))
-    coords = []
-    for i in order:
-        c = ps.points[i][0] * scale
-        coords.append(int(c))
-    return coords, order
 
 
 def emdut_1d_symmetric(blue: PointSet, red: PointSet):
@@ -352,12 +343,13 @@ def emdut_1d_sweep(
                                      [] if check else None))
         return out
 
-    denom = 1
-    for ps in (blue, red):
-        for p in ps.points:
-            denom = math.lcm(denom, p[0].denominator)
-    bc, border = _sorted_scaled(blue, denom)
-    rc, rorder = _sorted_scaled(red, denom)
+    ints, denom = _as_int_matrix(blue.points + red.points)
+    bx, rx = [p[0] for p in ints[:m]], [p[0] for p in ints[m:]]
+    # stable sorts: equal coordinates keep index order
+    border = sorted(range(m), key=bx.__getitem__)
+    rorder = sorted(range(n), key=rx.__getitem__)
+    bc = [bx[i] for i in border]
+    rc = [rx[j] for j in rorder]
 
     sweep = _Sweep(bc, rc, envelope_cls, check)
     best_v, best_tau, best_phi, pieces = sweep.run(collect_pieces)

@@ -18,6 +18,16 @@ def rand_points(rng: random.Random, n: int, dim: int, lo: int = -6, hi: int = 6)
     return point_set(dim, [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(n)])
 
 
+def huge_lcm_points(rng: random.Random, n: int, dim: int) -> PointSet:
+    """Coordinates near 10**30 over the primes 10**9+7 and 998244353."""
+    return point_set(dim, [
+        [10**30 + Fraction(rng.randint(-6 * 10**9, 6 * 10**9),
+                           rng.choice((10**9 + 7, 998244353)))
+         for _ in range(dim)]
+        for _ in range(n)
+    ])
+
+
 def brute_force_1d_translated(blue: PointSet, red: PointSet) -> Fraction:
     """Minimum over all monotone matchings and all pair-aligning translations.
 

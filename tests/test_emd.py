@@ -7,7 +7,7 @@ import pytest
 from emdut.core import Metric, lp_distance, point_set, point_set_1d
 from emdut.emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
 
-from conftest import rand_ints_1d, rand_points
+from conftest import huge_lcm_points, rand_ints_1d, rand_points
 
 
 def test_monotone_examples():
@@ -72,12 +72,14 @@ def test_hungarian_lexicographic_witness():
 
 def test_hungarian_matches_bruteforce():
     rng = random.Random(11)
-    for _ in range(120):
+    for case in range(130):
         dim = rng.randint(1, 3)
         m = rng.randint(1, 4)
         n = rng.randint(m, 7)
-        B = rand_points(rng, m, dim)
-        R = rand_points(rng, n, dim)
+        if case < 120:
+            B, R = rand_points(rng, m, dim), rand_points(rng, n, dim)
+        else:  # denominators 10^9+7 and 998244353, coordinates near 10^30
+            B, R = huge_lcm_points(rng, m, dim), huge_lcm_points(rng, n, dim)
         for metric in (Metric.L1, Metric.LINF):
             value, phi = emd_hungarian(B, R, metric)
             assert value == emd_bruteforce(B, R, metric)

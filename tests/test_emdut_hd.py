@@ -1,3 +1,4 @@
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -11,26 +12,15 @@ from emdut.emdut_hd import (
     Hyperplane,
     arrangement_vertices,
     candidate_translations,
+    emd_value_at,
     emdut_hd,
-    hyperplanes_l1,
     hyperplanes_linf,
     rotate_45_to_l1,
 )
+from emdut.hardness import Graph, clique_instance_value, clique_linf_sym
 from emdut.sweep1d import emdut_1d_sweep
 
-from conftest import rand_points
-
-
-def test_hyperplanes_l1_examples():
-    B = point_set(2, [(0, 0)])
-    planes = hyperplanes_l1(B, point_set(2, [(1, 2)]))
-    assert {(p.normal, p.offset) for p in planes} == {
-        ((F(1), F(0)), F(-1)),
-        ((F(0), F(1)), F(-2)),
-    }
-    assert len(hyperplanes_l1(B, point_set(2, [(1, 2), (3, 4)]))) == 4
-    # duplicate differences collapse
-    assert len(hyperplanes_l1(B, point_set(2, [(1, 2), (1, 2)]))) == 2
+from conftest import huge_lcm_points, rand_points
 
 
 def test_hyperplanes_linf_examples():
@@ -42,9 +32,13 @@ def test_hyperplanes_linf_examples():
         ((F(1), F(-1)), F(1)),
         ((F(1), F(1)), F(-3)),
     }
-    # d = 1 degenerates to the axis planes
+    # duplicate differences collapse
+    assert hyperplanes_linf(B, point_set(2, [(1, 2), (1, 2)])) == planes
+    # d = 1 degenerates to the axis planes tau = r - b, ascending
     b1, r1 = point_set_1d([0, 1]), point_set_1d([4, 6])
-    assert hyperplanes_linf(b1, r1) == hyperplanes_l1(b1, r1)
+    assert hyperplanes_linf(b1, r1) == [
+        Hyperplane((F(1),), F(-c)) for c in (3, 4, 5, 6)
+    ]
 
 
 def test_hyperplane_family_size_per_pair():
@@ -65,7 +59,10 @@ def test_arrangement_vertices_examples():
     # axis-aligned arrangement is the cartesian product of offsets
     B = point_set(2, [(0, 0)])
     R = point_set(2, [(1, 2), (3, 4)])
-    verts = arrangement_vertices(hyperplanes_l1(B, R), 2)
+    axis_planes = [Hyperplane((F(1), F(0)), F(-c)) for c in (1, 3)] + [
+        Hyperplane((F(0), F(1)), F(-c)) for c in (2, 4)
+    ]
+    verts = arrangement_vertices(axis_planes, 2)
     assert set(verts) == {(F(1), F(2)), (F(1), F(4)), (F(3), F(2)), (F(3), F(4))}
     assert set(candidate_translations(B, R, Metric.L1)) == set(verts)
 
@@ -91,10 +88,13 @@ def test_emdut_hd_examples():
 
 def test_emdut_hd_matches_candidate_bruteforce():
     rng = random.Random(21)
-    for _ in range(40):
+    for case in range(46):
         m = rng.randint(1, 3)
         n = rng.randint(m, 4)
-        B, R = rand_points(rng, m, 2), rand_points(rng, n, 2)
+        if case < 40:
+            B, R = rand_points(rng, m, 2), rand_points(rng, n, 2)
+        else:  # denominators 10^9+7 and 998244353, coordinates near 10^30
+            B, R = huge_lcm_points(rng, m, 2), huge_lcm_points(rng, n, 2)
         for metric in (Metric.L1, Metric.LINF):
             value, tau, phi = emdut_hd(B, R, metric)
             best = min(
@@ -249,3 +249,53 @@ def test_empty_blue_set():
         (0, 0),
         (),
     )
+
+
+def test_emd_value_at_examples_and_bad_input():
+    B = point_set(2, [(0, 0), (1, 1)])
+    R = point_set(2, [(1, 0), (5, 5), (2, 1)])
+    assert emd_value_at(B, R, Metric.L1, (F(1), F(0))) == 0
+    assert emd_value_at(B, R, Metric.L1, (1, 0)) == emd_hungarian(
+        B.translate((1, 0)), R, Metric.L1)[0]
+    assert emd_value_at(point_set(2, []), R, Metric.L1, (1, 0)) == 0
+    # a short translation used to drop coordinates silently: 2, not 7
+    B2, R2 = point_set(2, [(0, 0)]), point_set(2, [(3, 5)])
+    assert emd_value_at(B2, R2, Metric.L1, (1, 0)) == 7
+    with pytest.raises(ValueError, match="translation has 1 coordinates"):
+        emd_value_at(B2, R2, Metric.L1, (1,))
+    with pytest.raises(ValueError, match="translation has 3 coordinates"):
+        emd_value_at(B2, R2, Metric.L1, (1, 0, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        emd_value_at(B2, point_set_1d([3]), Metric.L1, (1, 0))
+    with pytest.raises(ValueError, match="exceeds"):
+        emd_value_at(R, B, Metric.L1, (0, 0))
+
+
+def test_solver_cost_matrices_hold_only_ints(monkeypatch):
+    # Points are scaled into an integer frame once per solve, so no cost
+    # matrix on a solver path ever holds a Fraction, even on rational input.
+    modules = [importlib.import_module(f"emdut.{name}")
+               for name in ("emd", "emdut_hd", "hardness")]
+    built = []
+    real = modules[0]._cost_matrix
+
+    def spy(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        built.append(rows)
+        return rows
+
+    for module in modules:
+        monkeypatch.setattr(module, "_cost_matrix", spy)
+    planar_b = point_set(2, [(F(1, 3), F(-2, 7)), (F(5, 2), 0)])
+    planar_r = point_set(2, [(F(4, 5), F(1, 9)), (2, F(-3, 4)), (F(7, 6), 3)])
+    solid_b = point_set(3, [(F(1, 2), 0, F(2, 3))])
+    solid_r = point_set(3, [(0, F(1, 5), 1), (F(3, 4), 1, F(-1, 3))])
+    for metric in (Metric.L1, Metric.LINF):
+        emd_hungarian(planar_b, planar_r, metric)
+        emdut_hd(planar_b, planar_r, metric)
+        emdut_hd(solid_b, solid_r, metric)
+        emd_value_at(planar_b, planar_r, metric, (F(1, 2), F(-5, 3)))
+    gi = clique_linf_sym(Graph.from_edges(2, [(1, 2)]), 2)
+    assert clique_instance_value(gi) == gi.lam
+    assert len(built) > 10
+    assert all(type(c) is int for rows in built for row in rows for c in row)

@@ -148,7 +148,7 @@ def test_combine_single_gadget_keeps_value():
     for _ in range(10):
         g = tiny_gadget(rng)
         for metric in (Metric.L1, Metric.LINF):
-            blue, red = combine_gadgets([g], metric)
+            blue, red = combine_gadgets([g])
             assert emdut_hd(blue, red, metric)[0] == emdut_hd(g[0], g[1], metric)[0]
 
 
@@ -157,7 +157,7 @@ def test_combine_two_copies_doubles_joint_value():
     for _ in range(8):
         g = tiny_gadget(rng)
         for metric in (Metric.L1, Metric.LINF):
-            blue, red = combine_gadgets([g, g], metric)
+            blue, red = combine_gadgets([g, g])
             combined = emdut_hd(blue, red, metric)[0]
             # joint optimum: one translation serving both copies
             joint = emdut_hd(g[0], g[1], metric)[0]
@@ -167,7 +167,7 @@ def test_combine_two_copies_doubles_joint_value():
 def test_combine_degenerate_spacing_guard():
     g = (point_set(2, [(0, 0)]), point_set(2, [(0, 0)]))
     assert combination_spacing([g, g])[1] == 1
-    blue, red = combine_gadgets([g, g], Metric.L1)
+    blue, red = combine_gadgets([g, g])
     assert emdut_hd(blue, red, Metric.L1)[0] == 0
     assert blue.points[0] == (F(1), F(0)) and blue.points[1] == (F(2), F(0))
 
@@ -190,7 +190,7 @@ def test_combined_value_splits_over_gadgets():
     rng = random.Random(36)
     for _ in range(8):
         gadgets = [tiny_gadget(rng) for _ in range(rng.randint(2, 3))]
-        blue, red = combine_gadgets(gadgets, Metric.L1)
+        blue, red = combine_gadgets(gadgets)
         whole = emdut_hd(blue, red, Metric.L1)[0]
         split = decomposed_value(gadgets, Metric.L1, l1_part_candidates(gadgets))
         assert whole == split
@@ -287,6 +287,6 @@ def test_decide_clique_agrees_with_enumeration_on_three_node_graphs():
 
 
 def test_witness_grid_shape():
-    grid = list(clique_witness_grid(2, 2, "linf-sym"))
+    grid = list(clique_witness_grid(2, 2))
     assert len(grid) == 4 and all(len(t) == 5 and t[4] == 0 for t in grid)
     assert all(t[0] == t[2] and t[1] == t[3] for t in grid)
