@@ -22,6 +22,9 @@ Matching = tuple[int, ...]
 # run for hours), so literals are bounded; two 4300-digit parts still fit.
 _MAX_EXPONENT = 100_000
 _MAX_LITERAL = 20_000
+# A dimension d orders d numbers for every point and translation, even
+# on empty sets; it gets the cap on the work one number may order.
+_MAX_DIMENSION = _MAX_EXPONENT
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 
 
@@ -183,9 +186,10 @@ def format_scalar(x: Fraction) -> str:
 def parse_point_set(text: str) -> PointSet:
     """Parse the point-set text format.
 
-    Line 1 is the dimension d; each subsequent non-empty line holds d
-    whitespace-separated numbers (integer, fraction "p/q", or finite
-    decimal).  CRLF is accepted.  Errors carry the 1-based line number.
+    Line 1 is the dimension d, at most ``_MAX_DIMENSION``; each subsequent
+    non-empty line holds d whitespace-separated numbers (integer, fraction
+    "p/q", or finite decimal).  CRLF is accepted.  Errors carry the
+    1-based line number.
     """
     lines = text.split("\n")
     dim = None
@@ -199,8 +203,9 @@ def parse_point_set(text: str) -> PointSet:
                 dim = int(line)
             except ValueError:
                 raise PointFormatError(idx, f"expected integer dimension, got {line!r}")
-            if dim < 1:
-                raise PointFormatError(idx, f"dimension must be >= 1, got {dim}")
+            if not 1 <= dim <= _MAX_DIMENSION:
+                raise PointFormatError(
+                    idx, f"dimension must be in [1, {_MAX_DIMENSION}], got {line}")
             continue
         fields = line.split()
         if len(fields) != dim:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Metric, Point, PointSet, zero_point
+from .core import Metric, Point, PointSet, _int_str, zero_point
 from .emd import (
     _as_int_matrix,
     _cost_matrix,
@@ -51,8 +51,8 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, needed: int, budget: int):
         super().__init__(
-            f"candidate enumeration needs {needed} evaluations, "
-            f"exceeding the budget of {budget}"
+            f"candidate enumeration needs {_int_str(needed)} evaluations, "
+            f"exceeding the budget of {_int_str(budget)}"
         )
         self.needed = needed
         self.budget = budget
@@ -66,21 +66,19 @@ class Hyperplane:
     offset: Fraction
 
 
-def _axis_planes(blue: PointSet, red: PointSet) -> list[Hyperplane]:
+def _linf_families(blue: PointSet, red: PointSet):
+    """Yield (i, j, sign, offsets) for the Linf planes tau_i + sign*tau_j = c.
+
+    The axis families (i, i, 0) come first, then sign -1 and +1 for each
+    i < j; ``offsets`` is the set of distinct c.
+    """
     d = blue.dim
-    planes = []
-    seen = set()
+    diffs = [[r[k] - b[k] for k in range(d)] for b in blue.points for r in red.points]
     for i in range(d):
-        offsets = {r[i] - b[i] for b in blue.points for r in red.points}
-        for c in sorted(offsets):
-            normal = tuple(
-                Fraction(1) if k == i else Fraction(0) for k in range(d)
-            )
-            hp = Hyperplane(normal, -c)
-            if hp not in seen:
-                seen.add(hp)
-                planes.append(hp)
-    return planes
+        yield i, i, 0, {x[i] for x in diffs}
+    for i, j in itertools.combinations(range(d), 2):
+        for sign in (-1, 1):
+            yield i, j, sign, {x[i] + sign * x[j] for x in diffs}
 
 
 def hyperplanes_linf(blue: PointSet, red: PointSet) -> list[Hyperplane]:
@@ -93,24 +91,11 @@ def hyperplanes_linf(blue: PointSet, red: PointSet) -> list[Hyperplane]:
     if blue.dim != red.dim:
         raise ValueError("dimension mismatch")
     d = blue.dim
-    planes = _axis_planes(blue, red)
-    seen = set(planes)
-    for i, j in itertools.combinations(range(d), 2):
-        for sign in (Fraction(-1), Fraction(1)):
-            offsets = {
-                (r[i] - b[i]) + sign * (r[j] - b[j])
-                for b in blue.points
-                for r in red.points
-            }
-            for c in sorted(offsets):
-                normal = tuple(
-                    Fraction(1) if k == i else (sign if k == j else Fraction(0))
-                    for k in range(d)
-                )
-                hp = Hyperplane(normal, -c)
-                if hp not in seen:
-                    seen.add(hp)
-                    planes.append(hp)
+    planes = []
+    for i, j, sign, offsets in _linf_families(blue, red):
+        normal = tuple(Fraction(1 if k == i else sign if k == j else 0)
+                       for k in range(d))
+        planes += [Hyperplane(normal, -c) for c in sorted(offsets)]
     return planes
 
 
@@ -138,10 +123,7 @@ def arrangement_vertices(
     planes: Sequence[Hyperplane], dim: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[Point, ...]:
     """All intersection points of dim independent hyperplanes, de-duplicated."""
-    count = len(planes)
-    subsets = 1
-    for i in range(dim):
-        subsets = subsets * (count - i) // (i + 1)
+    subsets = math.comb(len(planes), dim)
     if subsets > budget:
         raise BudgetExceeded(subsets, budget)
     vertices = set()
@@ -221,23 +203,32 @@ def _grid_search(bs, rs, offsets, rotated: bool):
         rest[a] = rest[a + 1] + orders[a][0][0]
     best_v = best_tau = best_frame = None
     evaluated = 0
-
-    def walk(a: int, bound: int, prefix: tuple[int, ...]) -> None:
-        nonlocal best_v, best_tau, best_frame, evaluated
-        for g, t in orders[a]:
-            if best_v is not None and bound + g + rest[a + 1] > best_v:
-                break  # g ascends, so the later offsets of this axis are cut too
-            tau = prefix + (t,)
-            if a + 1 < d:
-                walk(a + 1, bound + g, tau)
-                continue
-            evaluated += 1
-            v = _min_cost_assignment(_cost_matrix(bs, rs, Metric.L1, tau))[0]
-            orig = _unrotate(tau, rotated)
-            if best_v is None or v < best_v or (v == best_v and orig < best_tau):
-                best_v, best_tau, best_frame = v, orig, tau
-
-    walk(0, 0, ())
+    # depth-first without recursion, so d is not bounded by the stack:
+    # axis a tries orders[a][nxt[a]] next, under the bound sums[a] of axes < a
+    nxt = [0] * d
+    sums = [0] * d
+    tau = [0] * d
+    a = 0
+    while a >= 0:
+        if nxt[a] == len(orders[a]):
+            a -= 1
+            continue
+        g, tau[a] = orders[a][nxt[a]]
+        nxt[a] += 1
+        bound = sums[a] + g
+        if best_v is not None and bound + rest[a + 1] > best_v:
+            nxt[a] = len(orders[a])  # g ascends, so the later offsets are cut too
+            continue
+        if a + 1 < d:
+            a += 1
+            nxt[a], sums[a] = 0, bound
+            continue
+        evaluated += 1
+        frame = tuple(tau)
+        v = _min_cost_assignment(_cost_matrix(bs, rs, Metric.L1, frame))[0]
+        orig = _unrotate(frame, rotated)
+        if best_v is None or v < best_v or (v == best_v and orig < best_tau):
+            best_v, best_tau, best_frame = v, orig, frame
     return best_tau, best_frame, evaluated
 
 
@@ -262,6 +253,11 @@ def candidate_translations(
             tuple(Fraction(c, den) for c in _unrotate(tau, rotated))
             for tau in itertools.product(*offsets)
         ))
+    # count the planes before building any: there are at least d*d
+    planes = sum(len(offsets) for *_, offsets in _linf_families(blue, red))
+    subsets = math.comb(planes, d)
+    if subsets > budget:
+        raise BudgetExceeded(subsets, budget)
     return arrangement_vertices(hyperplanes_linf(blue, red), d, budget)
 
 

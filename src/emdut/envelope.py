@@ -5,11 +5,12 @@ with position, and answers queries about ``g(tau) = min_i L[i](tau)``:
 
 * ``value_at(tau)``    -- exact value of g,
 * ``first_root(t0)``   -- smallest tau >= t0 with g(tau) <= 0,
-* ``root_piece(t0)``   -- that root together with the tag of a line
-  reaching zero there,
+* ``root_piece(t0)``   -- that root together with the tag of the first
+  line, in position order, whose value there is <= 0,
 
 while supporting insertion/removal of single lines and adding a linear
-function to a contiguous range of positions.
+function to a contiguous range of positions.  Both backends follow that
+root rule exactly, so a sweep emits the same event log on either.
 
 Two interchangeable implementations share that interface:
 
@@ -51,16 +52,15 @@ def _isect(l1, l2) -> Fraction:
 # ---------------------------------------------------------------------------
 #
 # An _E tree stores the lines of one lower envelope in sweep order
-# (slopes strictly decreasing).  A node's (fa, fb) offset applies to its
+# (slopes strictly decreasing), as untagged (slope, intercept) geometry.  A node's (fa, fb) offset applies to its
 # own line, its first/last caches, and its whole subtree.  Nodes are
 # immutable; structural operations path-copy.
 
 
 class _E:
-    __slots__ = ("prio", "left", "right", "size", "a", "b", "tag", "fa", "fb",
-                 "first", "last")
+    __slots__ = ("prio", "left", "right", "a", "b", "fa", "fb", "first", "last")
 
-    def __init__(self, prio, left, right, a, b, tag, fa, fb):
+    def __init__(self, prio, left, right, a, b, fa, fb):
         global _NODE_ALLOCS
         _NODE_ALLOCS += 1
         self.prio = prio
@@ -68,31 +68,20 @@ class _E:
         self.right = right
         self.a = a
         self.b = b
-        self.tag = tag
         self.fa = fa
         self.fb = fb
-        self.size = 1 + (left.size if left else 0) + (right.size if right else 0)
-        if left:
-            self.first = (left.first[0] + left.fa, left.first[1] + left.fb,
-                          left.first[2])
-        else:
-            self.first = (a, b, tag)
-        if right:
-            self.last = (right.last[0] + right.fa, right.last[1] + right.fb,
-                         right.last[2])
-        else:
-            self.last = (a, b, tag)
+        self.first = _true_first(left) if left else (a, b)
+        self.last = _true_last(right) if right else (a, b)
 
 
-def _e_leaf(prio, a, b, tag):
-    return _E(prio, None, None, a, b, tag, 0, 0)
+def _e_leaf(prio, a, b):
+    return _E(prio, None, None, a, b, 0, 0)
 
 
 def _e_shift(n: Optional[_E], da, db) -> Optional[_E]:
     if n is None or (da == 0 and db == 0):
         return n
-    out = _E(n.prio, n.left, n.right, n.a, n.b, n.tag, n.fa + da, n.fb + db)
-    return out
+    return _E(n.prio, n.left, n.right, n.a, n.b, n.fa + da, n.fb + db)
 
 
 def _e_force(n: _E) -> _E:
@@ -100,7 +89,7 @@ def _e_force(n: _E) -> _E:
     if n.fa == 0 and n.fb == 0:
         return n
     return _E(n.prio, _e_shift(n.left, n.fa, n.fb), _e_shift(n.right, n.fa, n.fb),
-              n.a + n.fa, n.b + n.fb, n.tag, 0, 0)
+              n.a + n.fa, n.b + n.fb, 0, 0)
 
 
 def _e_concat(l: Optional[_E], r: Optional[_E]) -> Optional[_E]:
@@ -110,17 +99,17 @@ def _e_concat(l: Optional[_E], r: Optional[_E]) -> Optional[_E]:
         return l
     if l.prio > r.prio:
         l = _e_force(l)
-        return _E(l.prio, l.left, _e_concat(l.right, r), l.a, l.b, l.tag, 0, 0)
+        return _E(l.prio, l.left, _e_concat(l.right, r), l.a, l.b, 0, 0)
     r = _e_force(r)
-    return _E(r.prio, _e_concat(l, r.left), r.right, r.a, r.b, r.tag, 0, 0)
+    return _E(r.prio, _e_concat(l, r.left), r.right, r.a, r.b, 0, 0)
 
 
 def _true_last(n: _E):
-    return (n.last[0] + n.fa, n.last[1] + n.fb, n.last[2])
+    return n.last[0] + n.fa, n.last[1] + n.fb
 
 
 def _true_first(n: _E):
-    return (n.first[0] + n.fa, n.first[1] + n.fb, n.first[2])
+    return n.first[0] + n.fa, n.first[1] + n.fb
 
 
 def _e_split_start_lt(n: Optional[_E], t, pred):
@@ -132,14 +121,14 @@ def _e_split_start_lt(n: Optional[_E], t, pred):
     if n is None:
         return None, None
     n = _e_force(n)
-    own = (n.a, n.b, n.tag)
+    own = (n.a, n.b)
     own_pred = _true_last(n.left) if n.left else pred
     starts_before = own_pred is None or _isect(own_pred, own) < t
     if starts_before:
         ra, rb = _e_split_start_lt(n.right, t, own)
-        return _E(n.prio, n.left, ra, n.a, n.b, n.tag, 0, 0), rb
+        return _E(n.prio, n.left, ra, n.a, n.b, 0, 0), rb
     la, lb = _e_split_start_lt(n.left, t, pred)
-    return la, _E(n.prio, lb, n.right, n.a, n.b, n.tag, 0, 0)
+    return la, _E(n.prio, lb, n.right, n.a, n.b, 0, 0)
 
 
 def _e_split_end_gt(n: Optional[_E], t, succ):
@@ -147,21 +136,21 @@ def _e_split_end_gt(n: Optional[_E], t, succ):
     if n is None:
         return None, None
     n = _e_force(n)
-    own = (n.a, n.b, n.tag)
+    own = (n.a, n.b)
     own_succ = _true_first(n.right) if n.right else succ
     ends_after = own_succ is None or _isect(own, own_succ) > t
     if ends_after:
         la, lb = _e_split_end_gt(n.left, t, own)
-        return la, _E(n.prio, lb, n.right, n.a, n.b, n.tag, 0, 0)
+        return la, _E(n.prio, lb, n.right, n.a, n.b, 0, 0)
     ra, rb = _e_split_end_gt(n.right, t, succ)
-    return _E(n.prio, n.left, ra, n.a, n.b, n.tag, 0, 0), rb
+    return _E(n.prio, n.left, ra, n.a, n.b, 0, 0), rb
 
 
 def _e_drop_last(n: _E) -> Optional[_E]:
     n = _e_force(n)
     if n.right is None:
         return n.left
-    return _E(n.prio, n.left, _e_drop_last(n.right), n.a, n.b, n.tag, 0, 0)
+    return _E(n.prio, n.left, _e_drop_last(n.right), n.a, n.b, 0, 0)
 
 
 def _e_value(n: _E, tau) -> Fraction:
@@ -200,7 +189,7 @@ def _e_walk_flip(root: _E, h_of):
     while True:
         acc_a += node.fa
         acc_b += node.fb
-        own = (node.a + acc_a, node.b + acc_b, node.tag)
+        own = (node.a + acc_a, node.b + acc_b)
         left, right = node.left, node.right
         pl = (left.last[0] + left.fa + acc_a, left.last[1] + left.fb + acc_b) \
             if left else pred
@@ -311,7 +300,7 @@ class TreeEnvelope:
         n.size = 1 + _size(n.left) + _size(n.right)
         left_env = _e_shift(n.left.env, n.left.fa, n.left.fb) if n.left else None
         right_env = _e_shift(n.right.env, n.right.fa, n.right.fb) if n.right else None
-        own = _e_leaf(self._rng.getrandbits(60), n.a, n.b, n.tag)
+        own = _e_leaf(self._rng.getrandbits(60), n.a, n.b)
         n.env = _e_merge(_e_merge(left_env, own), right_env)
 
     def _split(self, n: Optional[_Node], k: int):
@@ -347,7 +336,7 @@ class TreeEnvelope:
 
     def insert(self, pos: int, a, b, tag=None) -> None:
         node = _Node(self._rng.getrandbits(60), a, b, tag,
-                     _e_leaf(self._rng.getrandbits(60), a, b, tag))
+                     _e_leaf(self._rng.getrandbits(60), a, b))
         l, r = self._split(self._root, pos)
         self._root = self._join(self._join(l, node), r)
 
@@ -388,76 +377,37 @@ class TreeEnvelope:
         return got[0] if got else None
 
     def root_piece(self, tau0):
-        """First tau >= tau0 with g(tau) <= 0, plus the tag of a line
-        that is non-positive there; None when no such tau exists."""
+        """First tau >= tau0 with g(tau) <= 0, plus the tag of the first line,
+        in position order, at or below zero there; None when no such tau."""
         env = self._env()
         if env is None:
             return None
-        if _e_value(env, tau0) <= 0:
-            line = self._piece_at(env, tau0)
-            return tau0, line[2]
-        return self._falling_crossing(env, tau0)
+        if _e_value(env, tau0) > 0:
+            # g is concave and positive at tau0: it changes sign once after
+            # tau0 if its last piece falls, and never otherwise
+            if _true_last(env)[0] >= 0:
+                return None
+            a, b = _e_walk_flip(env, lambda own, t: 1 if t <= tau0
+                                else own[0] * t + own[1])
+            tau0 = Fraction(-b, a)
+        return tau0, self._first_tag_at_or_below_zero(tau0)
 
-    @staticmethod
-    def _falling_crossing(env: _E, tau0):
-        # g(tau0) > 0 and g is concave, so {g <= 0} meets [tau0, inf) in a
-        # ray [B, inf) (possibly empty); descend to the piece containing B.
-        # Boundaries at or left of tau0 are treated as positive: they lie
-        # strictly left of B and must not steer the descent.
-        node = env
-        acc_a = acc_b = 0
-        pred = succ = None
-        while True:
-            acc_a += node.fa
-            acc_b += node.fb
-            own = (node.a + acc_a, node.b + acc_b, node.tag)
-            left, right = node.left, node.right
-            pl = (left.last[0] + left.fa + acc_a, left.last[1] + left.fb + acc_b) \
-                if left else pred
-            su = (right.first[0] + right.fa + acc_a,
-                  right.first[1] + right.fb + acc_b) if right else succ
-            if pl is not None:
-                s = _isect(pl, own)
-                if s > tau0 and own[0] * s + own[1] <= 0:
-                    node = left
-                    succ = own
-                    continue
-            else:
-                s = None
-            if su is not None:
-                e = _isect(own, su)
-                if e <= tau0 or own[0] * e + own[1] > 0:
-                    node = right
-                    pred = own
-                    continue
-            else:
-                if own[0] > 0 or (own[0] == 0 and own[1] > 0):
-                    return None  # final piece never comes back down to 0
-            if own[0] == 0:
-                # constant non-positive piece; the crossing is its left edge
-                return s, own[2]
-            return Fraction(-own[1], own[0]), own[2]
-
-    @staticmethod
-    def _piece_at(n: _E, tau):
+    def _first_tag_at_or_below_zero(self, tau):
+        # the first position whose subtree envelope is <= 0 at tau; the
+        # caller guarantees that g(tau) <= 0
+        n = self._root
         acc_a = acc_b = 0
         while True:
             acc_a += n.fa
             acc_b += n.fb
-            own = (n.a + acc_a, n.b + acc_b, n.tag)
-            if n.left is not None:
-                ll = n.left.last
-                if tau < _isect((ll[0] + n.left.fa + acc_a,
-                                 ll[1] + n.left.fb + acc_b), own):
-                    n = n.left
-                    continue
-            if n.right is not None:
-                rf = n.right.first
-                if tau >= _isect(own, (rf[0] + n.right.fa + acc_a,
-                                       rf[1] + n.right.fb + acc_b)):
-                    n = n.right
-                    continue
-            return own
+            left = n.left
+            if left is not None and _e_value(left.env, tau) + (
+                    (acc_a + left.fa) * tau + acc_b + left.fb) <= 0:
+                n = left
+            elif (n.a + acc_a) * tau + n.b + acc_b <= 0:
+                return n.tag
+            else:
+                n = n.right
 
     def get(self, pos: int):
         n = self._root
@@ -515,37 +465,24 @@ class NaiveEnvelope:
         return min(a * tau + b for a, b, _ in self._lines)
 
     def first_root(self, tau0) -> Optional[Fraction]:
-        got = self._root_region(tau0)
+        got = self.root_piece(tau0)
         return got[0] if got else None
 
     def root_piece(self, tau0):
-        return self._root_region(tau0)
-
-    def _root_region(self, tau0):
-        # {g <= 0} is a union of per-line rays; find its first point >= tau0.
-        # A ray's end -b/a is kept as a pair (p, q) with q > 0 and compared by
-        # cross-multiplication, so only the returned root becomes a number.
-        if not self._lines:
-            return None
-        left_end = None     # (p, q, tag): sup of the (-inf, .] rays
-        right_start = None  # (p, q, tag): inf of the [., +inf) rays
+        # A line above zero at tau0 comes down to zero after it only if it
+        # falls, at -b/a.  That root is kept as a pair (p, q) with q > 0 and
+        # compared by cross-multiplication, so only the answer becomes a number.
+        p0, q0 = tau0.numerator, tau0.denominator
+        best = None  # (p, q, tag): the first falling line with the smallest root
         for a, b, tag in self._lines:
-            if a > 0:
-                if left_end is None or -b * left_end[1] > left_end[0] * a:
-                    left_end = (-b, a, tag)
-            elif a < 0:
-                if right_start is None or b * right_start[1] < right_start[0] * -a:
-                    right_start = (b, -a, tag)
-            elif b <= 0:
+            if a * p0 + b * q0 <= 0:
                 return tau0, tag
-        if left_end is not None and tau0 * left_end[1] <= left_end[0]:
-            return tau0, left_end[2]
-        if right_start is not None:
-            p, q, tag = right_start
-            if tau0 * q >= p:
-                return tau0, tag
-            return (p // q if p % q == 0 else Fraction(p, q)), tag
-        return None
+            if a < 0 and (best is None or b * best[1] < best[0] * -a):
+                best = (b, -a, tag)
+        if best is None:
+            return None
+        p, q, tag = best
+        return (p // q if p % q == 0 else Fraction(p, q)), tag
 
     def get(self, pos):
         return self._lines[pos]

@@ -126,6 +126,51 @@ def test_huge_exponent_exits_2_naming_the_line(tmp_path):
     assert time.perf_counter() - t0 < 10
 
 
+def test_grid_walk_runs_in_1500_dimensions(capsys, tmp_path):
+    # one candidate translation, on a walk one axis deep per dimension
+    d = 1500
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text(f"{d}\n" + " ".join(str(k) for k in range(d)) + "\n")
+    red.write_text(f"{d}\n" + " ".join(str(3 * k + 1) for k in range(d)) + "\n")
+    code, out, err = run(
+        capsys, ["solve", "emdut-hd", "--blue", str(blue), "--red", str(red)]
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["value"] == "0"
+    assert payload["translation"] == [str(2 * k + 1) for k in range(d)]
+
+
+def test_linf_budget_is_checked_before_any_plane_is_built(tmp_path):
+    # d = 400: at least d*d planes of d Fractions each, and C(160000, 400)
+    # vertex candidates.  A child process, so that building the planes
+    # fails on the timeout instead of hanging the suite.
+    d = 400
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text(f"{d}\n" + " ".join(str(k) for k in range(d)) + "\n")
+    red.write_text(f"{d}\n" + " ".join(str(3 * k + 1) for k in range(d)) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(emdut.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "emdut.cli", "solve", "emdut-hd", "--metric", "linf",
+         "--blue", str(blue), "--red", str(red)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1 and "budget" in proc.stderr
+    assert time.perf_counter() - t0 < 20
+
+
+def test_huge_dimension_line_exits_2_naming_line_1(capsys, tmp_path):
+    empty = tmp_path / "e.txt"
+    empty.write_text("1000000000000\n")
+    code, _, err = run(
+        capsys, ["solve", "emdut-hd", "--blue", str(empty), "--red", str(empty)]
+    )
+    assert code == 2 and "line 1" in err and "dimension" in err
+
+
 def test_output_past_the_int_str_digit_limit(capsys, tmp_path):
     blue = tmp_path / "b.txt"
     red = tmp_path / "r.txt"

@@ -149,6 +149,18 @@ def test_parse_point_set_errors_carry_line_numbers():
     assert err.value.line_no == 2
 
 
+def test_dimension_line_is_capped_at_10_to_the_5():
+    for text in ("1000000000000\n", "100001\n1\n", "0\n"):
+        with pytest.raises(PointFormatError, match="dimension") as err:
+            parse_point_set(text)
+        assert err.value.line_no == 1
+
+
+def test_dimension_10_to_the_5_still_parses():
+    ps = parse_point_set("100000\n" + "1 " * 100000 + "\n")
+    assert ps.dim == 100000 and ps.points == ((F(1),) * 100000,)
+
+
 def test_serialize_round_trip():
     rng = random.Random(5)
     for _ in range(40):

@@ -73,6 +73,8 @@ def test_budget_errors_name_the_budget():
     with pytest.raises(BudgetExceeded) as err:
         emdut_hd(B, R, Metric.LINF, budget=10)
     assert "budget of 10" in str(err.value)
+    # counts past the interpreter's 4300-digit str limit still print
+    assert "needs 1" + "0" * 5000 + " evaluations" in str(BudgetExceeded(10**5000, 10))
 
 
 def test_emdut_hd_examples():

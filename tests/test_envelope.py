@@ -33,26 +33,51 @@ def test_root_none_when_all_positive_constant():
         assert flat.first_root(F(-100)) is None
 
 
+def _expected_root_piece(lines, t0):
+    # g's first point at or below zero from t0 on is t0 itself or the zero
+    # of some line; the tag is the first line, by position, <= 0 there
+    zeros = [t0] + [F(-b) / a for a, b, _ in lines if a != 0 and F(-b) / a > t0]
+    for root in sorted(zeros):
+        at_or_below = [tag for a, b, tag in lines if a * root + b <= 0]
+        if at_or_below:
+            return root, at_or_below[0]
+    return None
+
+
+def _tie_heavy_lines(rng, k):
+    """(lines, zero): several lines through one zero, or repeated lines
+    (zero None), in slope order and tagged by position."""
+    if rng.random() < 0.5:
+        zero = F(rng.randint(-12, 12), rng.choice([1, 2]))
+        slopes = sorted(rng.randint(-4, 2) for _ in range(k))
+        pairs = [(a, -a * zero if rng.random() < 0.7 else F(rng.randint(-20, 20)))
+                 for a in slopes]
+    else:
+        zero = None
+        distinct = [(rng.randint(-4, 2), F(rng.randint(-20, 20), rng.choice([1, 2])))
+                    for _ in range(2)]
+        pairs = sorted(rng.choice(distinct) for _ in range(k))
+    return [(a, b, i) for i, (a, b) in enumerate(pairs)], zero
+
+
 def test_root_tag_names_a_line_at_or_below_zero_at_the_root():
     rng = random.Random(78)
-    for trial in range(300):
+    for trial in range(600):
         k = rng.randint(1, 8)
-        slopes = sorted(rng.randint(-6, 3) for _ in range(k))
-        lines = [(a, F(rng.randint(-40, 40), rng.choice([1, 2, 3])), i)
-                 for i, a in enumerate(slopes)]
-        by_tag = {tag: (a, b) for a, b, tag in lines}
+        zero = None
+        if trial < 300:
+            slopes = sorted(rng.randint(-6, 3) for _ in range(k))
+            lines = [(a, F(rng.randint(-40, 40), rng.choice([1, 2, 3])), i)
+                     for i, a in enumerate(slopes)]
+        else:
+            lines, zero = _tie_heavy_lines(rng, k)
         t0 = F(rng.randint(-30, 30), rng.choice([1, 2]))
-        roots = []
+        if zero is not None and rng.random() < 0.5:
+            t0 = zero
+        want = _expected_root_piece(lines, t0)
         for cls in BACKENDS:
             got = cls(lines, seed=trial).root_piece(t0)
-            roots.append(got[0] if got else None)
-            if got is None:
-                continue
-            root, tag = got
-            a, b = by_tag[tag]
-            assert root >= t0
-            assert a * root + b <= 0, (cls.__name__, lines, t0, got)
-        assert roots[0] == roots[1]
+            assert got == want, (cls.__name__, lines, t0, got, want)
 
 
 def _random_ops(seed, ops, naive, tree, slope_lo=-40, slope_hi=40):

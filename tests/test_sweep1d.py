@@ -67,37 +67,43 @@ def test_sweep_oracle_bruteforce_triad():
         assert len(set(phi)) == m
 
 
+def _both_backends(B, R, **kw):
+    return [emdut_1d_sweep(B, R, envelope=kind, return_stats=True,
+                           collect_pieces=True, **kw) for kind in ("naive", "tree")]
+
+
 def test_sweep_tree_envelope_agrees_with_naive():
+    # the whole return, event log included: both backends follow one root rule
     rng = random.Random(101)
-    for _ in range(60):
+    for trial in range(120):
         m = rng.randint(1, 7)
         n = rng.randint(m, 9)
-        B, R = rand_ints_1d(rng, m), rand_ints_1d(rng, n)
-        naive = emdut_1d_sweep(B, R, envelope="naive", check=True)
-        tree = emdut_1d_sweep(B, R, envelope="tree", check=True)
-        assert naive == tree
+        lo, hi = (-20, 20) if trial < 60 else (0, 5)  # then duplicate-heavy
+        B, R = rand_ints_1d(rng, m, lo, hi), rand_ints_1d(rng, n, lo, hi)
+        naive, tree = _both_backends(B, R, check=True)
+        assert naive == tree, (B, R)
 
 
 def test_sweep_backends_agree_at_auto_cutoff_scale():
     # runs of more than 64 blues: the tree and the list give the same answer
+    # and the same event log
     rng = random.Random(808)
     B = point_set_1d([rng.randint(-500, 500) for _ in range(80)])
     R = point_set_1d([rng.randint(-500, 500) for _ in range(120)])
-    tree = emdut_1d_sweep(B, R, envelope="tree")
-    naive = emdut_1d_sweep(B, R, envelope="naive")
-    default = emdut_1d_sweep(B, R)
-    assert tree == naive == default
+    naive, tree = _both_backends(B, R)
+    assert tree == naive
+    assert naive[:3] == emdut_1d_sweep(B, R)
 
 
 def test_check_mode_holds_on_runs_longer_than_8_blues():
     # m = 65, n = 2m as in the benchmark: runs far longer than the small
     # check-mode tests reach, with every internal assertion switched on
-    for seed, envelope in ((651, "naive"), (652, "naive"), (653, "naive"), (654, "tree")):
+    for seed in (651, 652, 653, 654):
         rng = random.Random(seed)
         B, R = rand_ints_1d(rng, 65, 0, 1300), rand_ints_1d(rng, 130, 0, 1300)
-        value, tau, phi, stats = emdut_1d_sweep(
-            B, R, envelope=envelope, check=True, return_stats=True
-        )
+        naive, tree = _both_backends(B, R, check=True)
+        assert naive == tree
+        value, tau, phi, stats = naive
         assert max(bt - bs + 1 for bs, bt, _ in stats.moves) > 8
         cost = sum(abs(B.points[j][0] + tau - R.points[phi[j]][0]) for j in range(65))
         assert cost == value == emd_1d_monotone(B.translate((tau,)), R)[0]
