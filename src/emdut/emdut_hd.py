@@ -253,7 +253,14 @@ def candidate_translations(
             tuple(Fraction(c, den) for c in _unrotate(tau, rotated))
             for tau in itertools.product(*offsets)
         ))
-    # count the planes before building any: there are at least d*d
+    # each of the d*d plane families holds at least one plane, so refuse
+    # at once when even C(d*d, d) vertex subsets exceed the budget
+    lower = math.comb(d * d, d)
+    if lower > budget:
+        err = BudgetExceeded(lower, budget)
+        err.args = (str(err).replace("needs", "needs at least", 1),)
+        raise err
+    # count the planes before building any
     planes = sum(len(offsets) for *_, offsets in _linf_families(blue, red))
     subsets = math.comb(planes, d)
     if subsets > budget:

@@ -3,10 +3,11 @@
 Holds a sequence of lines ``L[0..k-1]`` whose slopes are non-decreasing
 with position, and answers queries about ``g(tau) = min_i L[i](tau)``:
 
-* ``value_at(tau)``    -- exact value of g,
-* ``first_root(t0)``   -- smallest tau >= t0 with g(tau) <= 0,
-* ``root_piece(t0)``   -- that root together with the tag of the first
-  line, in position order, whose value there is <= 0,
+* ``value_at(tau)``     -- exact value of g,
+* ``root_piece(p0, q0)`` -- the smallest tau >= t0 = p0/q0 with
+  g(tau) <= 0, as a pair (p, q) in lowest terms with q > 0, together
+  with the tag of the first line, in position order, whose value there
+  is <= 0,
 
 while supporting insertion/removal of single lines and adding a linear
 function to a contiguous range of positions.  Both backends follow that
@@ -24,13 +25,15 @@ Two interchangeable implementations share that interface:
   into the parent because they are path-copied, never mutated, so updates
   cost polylogarithmic time instead of a rebuild.
 
-Lines are ``(slope, intercept, tag)`` triples; the tag is an opaque
+Lines are ``(slope, intercept, tag)`` triples with integer slope and
+intercept, so every root is an integer pair.  The tag is an opaque
 payload (the sweep stores blue-point ids there) and plays no part in the
 geometry.  Callers keep the slope order; the backends do not check it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -372,16 +375,14 @@ class TreeEnvelope:
             raise ValueError("envelope is empty")
         return _e_value(env, tau)
 
-    def first_root(self, tau0) -> Optional[Fraction]:
-        got = self.root_piece(tau0)
-        return got[0] if got else None
-
-    def root_piece(self, tau0):
-        """First tau >= tau0 with g(tau) <= 0, plus the tag of the first line,
-        in position order, at or below zero there; None when no such tau."""
+    def root_piece(self, p0: int, q0: int):
+        """First tau >= p0/q0 with g(tau) <= 0, as (p, q, tag) with the tag
+        of the first line, in position order, at or below zero there; None
+        when no such tau."""
         env = self._env()
         if env is None:
             return None
+        tau0 = p0 if q0 == 1 else Fraction(p0, q0)
         if _e_value(env, tau0) > 0:
             # g is concave and positive at tau0: it changes sign once after
             # tau0 if its last piece falls, and never otherwise
@@ -390,7 +391,8 @@ class TreeEnvelope:
             a, b = _e_walk_flip(env, lambda own, t: 1 if t <= tau0
                                 else own[0] * t + own[1])
             tau0 = Fraction(-b, a)
-        return tau0, self._first_tag_at_or_below_zero(tau0)
+        tag = self._first_tag_at_or_below_zero(tau0)
+        return tau0.numerator, tau0.denominator, tag
 
     def _first_tag_at_or_below_zero(self, tau):
         # the first position whose subtree envelope is <= 0 at tau; the
@@ -464,25 +466,21 @@ class NaiveEnvelope:
             raise ValueError("envelope is empty")
         return min(a * tau + b for a, b, _ in self._lines)
 
-    def first_root(self, tau0) -> Optional[Fraction]:
-        got = self.root_piece(tau0)
-        return got[0] if got else None
-
-    def root_piece(self, tau0):
-        # A line above zero at tau0 comes down to zero after it only if it
+    def root_piece(self, p0: int, q0: int):
+        # A line above zero at t0 comes down to zero after it only if it
         # falls, at -b/a.  That root is kept as a pair (p, q) with q > 0 and
-        # compared by cross-multiplication, so only the answer becomes a number.
-        p0, q0 = tau0.numerator, tau0.denominator
+        # compared by cross-multiplication.
         best = None  # (p, q, tag): the first falling line with the smallest root
         for a, b, tag in self._lines:
             if a * p0 + b * q0 <= 0:
-                return tau0, tag
+                return p0, q0, tag
             if a < 0 and (best is None or b * best[1] < best[0] * -a):
                 best = (b, -a, tag)
         if best is None:
             return None
         p, q, tag = best
-        return (p // q if p % q == 0 else Fraction(p, q)), tag
+        g = math.gcd(p, q)
+        return p // g, q // g, tag
 
     def get(self, pos):
         return self._lines[pos]

@@ -14,19 +14,21 @@ slope) and reassignment events (a run suffix shifts to the next reds,
 triggered by a root of the run's envelope).
 
 Internally the sweep scales all coordinates once by the lcm of their
-denominators (``emd._as_int_matrix``), sorts those integers and works on
-them, so alignment times are integers and only envelope roots can be
-proper fractions.  Heap keys are float-filtered exact keys
-``(float(t), t, ...)``: rounding to float is monotone, so unequal floats
-order the exact times ``t`` correctly, and ``t`` itself decides only when
-the floats tie.  Floats never enter a value, a translation or an
-envelope.  Results are scaled back, so the output is exact.
+denominators (``emd._as_int_matrix``) and sorts those integers.  Every
+event time is then a pair p/q of ints: q = 1 at an alignment, and a
+root's q divides 2i with i <= m, as run slopes lie in {0, -2, ..., -2m}.
+Distinct times differ by at least 1/(4m^2), so the heap key
+``(p << K) // q`` with K = (4m^2).bit_length() orders them exactly at
+any magnitude.  Each blue's alignments start at its own red, and one
+that pops behind the blue's matched red is moved up to that red
+uncounted: the matching only advances, so it would change nothing.
+``Fraction`` is built only for the output, which is scaled back, the
+cost pieces and checks.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -43,7 +45,7 @@ _ENVELOPES = {"naive": NaiveEnvelope, "tree": TreeEnvelope}
 
 class SweepStats(NamedTuple):
     events: int
-    alignment_events: int
+    alignment_events: int  # those at or after the blue's matched red
     reassignment_events: int
     pieces: Optional[list]  # (tau_lo, tau_hi, slope, intercept), descaled
     moves: Optional[list]   # (run_bs, run_bt, first_moved_blue), check mode only
@@ -104,14 +106,6 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
     return best
 
 
-def _fkey(t) -> float:
-    """Monotone float filter for an exact event time (±inf past the range)."""
-    try:
-        return float(t)
-    except OverflowError:
-        return math.inf if t > 0 else -math.inf
-
-
 @dataclass
 class _Run:
     rid: int
@@ -119,23 +113,23 @@ class _Run:
     bt: int            # last blue; its red is phi[bt]
     env: object = None     # suffix-cost envelope, None when phi[bt] is the last red
     epoch: int = 0         # heap entries of older epochs are stale
-    event: object = None   # (tau, blue) of the one live queued reassignment
+    event: object = None   # (p, q, blue) of the one live queued reassignment
 
 
 class _Sweep:
-    """One sweep execution over integer-scaled coordinates."""
+    """One sweep over integer-scaled coordinates; a time is p/q in lowest terms."""
 
     def __init__(self, bc, rc, envelope_cls, check: bool):
         self.bc = bc
         self.rc = rc
         self.m = len(bc)
         self.n = len(rc)
+        self.shift = (4 * self.m * self.m).bit_length()  # K of the heap keys
         self.check = check
         self.envelope_cls = envelope_cls
         self.phi = list(range(self.m))  # the matching: blue j -> red phi[j]
         self.blue_run = [None] * self.m  # blue j -> the _Run holding it
         self.next_rid = 0
-        self.heap: list = []
         self.fs = -self.m
         self.fi = sum(rc[j] - bc[j] for j in range(self.m))
         self.events = 0
@@ -158,10 +152,9 @@ class _Sweep:
             return -2, r + rp - 2 * self.bc[j]
         return 0, r - rp
 
-    def _run_lines(self, bs, bt, tau, acc_a=0, acc_b=0):
+    def _run_lines(self, bs, bt, floor_tau, acc_a=0, acc_b=0):
         # suffix sums of the per-blue switch costs on top of the base line
         # (acc_a, acc_b), the line of blue bt coming last
-        floor_tau = math.floor(tau)
         out = []
         for j in range(bt, bs - 1, -1):
             da, db = self._delta_prime(j, floor_tau)
@@ -171,29 +164,29 @@ class _Sweep:
         out.reverse()
         return out
 
-    def _make_run(self, bs, bt, tau) -> _Run:
+    def _make_run(self, bs, bt, p, q) -> _Run:
         run = _Run(self.next_rid, bs, bt)
         self.next_rid += 1
         if self.phi[bt] < self.n - 1:
-            run.env = self.envelope_cls(self._run_lines(bs, bt, tau),
+            run.env = self.envelope_cls(self._run_lines(bs, bt, p // q),
                                         seed=0xABCD + self.next_rid)
         self.blue_run[bs:bt + 1] = [run] * (bt - bs + 1)
-        self._reschedule(run, tau)
+        self._reschedule(run, p, q)
         return run
 
-    def _reschedule(self, run: _Run, tau):
+    def _reschedule(self, run: _Run, p, q):
         # queue the run's next reassignment unless it is already queued
-        got = run.env.root_piece(tau) if run.env is not None else None
+        got = run.env.root_piece(p, q) if run.env is not None else None
         if got != run.event:
             run.epoch += 1
             run.event = got
             if got is not None:
                 # (rid, epoch) is unique per entry, so ties never compare runs
-                root = got[0]
-                heapq.heappush(self.heap,
-                               (_fkey(root), root, 1, run.rid, run.epoch, run))
+                rp, rq, _ = got
+                heapq.heappush(self.heap, ((rp << self.shift) // rq, 1, run.rid,
+                                           run.epoch, rp, rq, run))
 
-    def _verify_runs(self, tau):
+    def _verify_runs(self, floor_tau):
         # check-mode only: each run matches its blues to consecutive reds,
         # has an envelope unless its last red is the last one, and stores
         # suffix-cost lines equal to pieces recomputed from scratch
@@ -205,16 +198,16 @@ class _Sweep:
             assert phi[j:run.bt + 1] == list(range(phi[j], phi[run.bt] + 1))
             assert (run.env is None) == (phi[run.bt] == self.n - 1)
             if run.env is not None:
-                want = [(a, b) for a, b, _ in self._run_lines(run.bs, run.bt, tau)]
+                want = [(a, b) for a, b, _ in self._run_lines(run.bs, run.bt, floor_tau)]
                 got = [(a, b) for a, b, _ in run.env.lines()]
                 assert got == want, (run.rid, got, want)
             j = run.bt + 1
 
     # -- event handlers -------------------------------------------------------
 
-    def _handle_alignment(self, j, v, tau):
+    def _handle_alignment(self, j, v, t):
         # blue j meets its own red (its cost's slope gains 2) or the next red
-        # (its switch cost's slope flips sign); other alignments change nothing
+        # (its switch cost's slope flips sign); later reds change nothing
         w = self.phi[j]
         if v == w:
             self.fs += 2
@@ -225,16 +218,16 @@ class _Sweep:
         if run.env is not None:
             d = 2 if v == w else -2
             run.env.add_range(0, j - run.bs + 1, -d, d * (self.rc[v] - self.bc[j]))
-            self._reschedule(run, tau)
+            self._reschedule(run, t, 1)
 
-    def _handle_move(self, run: _Run, tau):
-        root, j = run.event
+    def _handle_move(self, run: _Run, p, q):
+        rp, rq, j = run.event
         run.event = None
         pos = j - run.bs
         line_a, line_b, _ = run.env.get(pos)
         if self.check:
-            assert root == tau
-            assert run.env.value_at(tau) == 0 == line_a * tau + line_b
+            assert (rp, rq) == (p, q) and line_a * p + line_b * q == 0
+            assert run.env.value_at(Fraction(p, q)) == 0
             assert run.bs <= j <= run.bt
             self.move_log.append((run.bs, run.bt, j))
         self.fs += line_a
@@ -250,62 +243,73 @@ class _Sweep:
                 run.env.remove(pos)
             run.env.add_range(0, pos, -line_a, -line_b)
             run.bt = j - 1
-            self._reschedule(run, tau)
+            self._reschedule(run, p, q)
         # attach the moved suffix: merge with the next run when the red
         # indices become consecutive, otherwise start a fresh run
         nxt = self.blue_run[bt + 1] if bt + 1 < self.m else None
         if nxt is not None and phi[nxt.bs] == phi[bt] + 1:
             if nxt.env is not None:
                 base_a, base_b, _ = nxt.env.get(0)
-                for a, b, k in reversed(self._run_lines(j, bt, tau, base_a, base_b)):
+                for a, b, k in reversed(self._run_lines(j, bt, p // q, base_a, base_b)):
                     nxt.env.insert(0, a, b, k)
             nxt.bs = j
             self.blue_run[j:bt + 1] = [nxt] * (bt - j + 1)
-            self._reschedule(nxt, tau)
+            self._reschedule(nxt, p, q)
         else:
-            self._make_run(j, bt, tau)
+            self._make_run(j, bt, p, q)
 
     # -- main loop -------------------------------------------------------------
 
     def run(self, collect_pieces: bool):
         m, n, bc, rc = self.m, self.n, self.bc, self.rc
-        heap = self.heap
+        phi, shift = self.phi, self.shift
+        # entries (key, kind, blue or rid, red or epoch, p, q, run); each
+        # blue's first alignment is with its own red
+        self.heap = heap = []
         for j in range(m):
-            t = rc[0] - bc[j]
-            heapq.heappush(heap, (_fkey(t), t, 0, j, 0, None))
-        self._make_run(0, m - 1, heap[0][1] - 1)
+            t = rc[j] - bc[j]
+            heapq.heappush(heap, (t << shift, 0, j, j, t, 1, None))
+        # the identity matching holds up to the first alignment; the first
+        # piece starts where the last blue meets red 0, or at an earlier event
+        t = rc[0] - bc[m - 1]
+        self._make_run(0, m - 1, t - 1, 1)
+        prev_key, prev_p, prev_q = min((t << shift, t, 1), (heap[0][0], *heap[0][4:6]))
 
-        best_num = best_den = best_tau = best_phi = None
+        best_num = best_q = best_p = best_phi = None
         pieces = [] if collect_pieces else None
-        prev_f = prev_tau = None
         while heap:
-            f, tau, kind, x, y, run = heapq.heappop(heap)
-            if kind == 1 and run.epoch != y:
+            key, kind, x, y, p, q, run = heapq.heappop(heap)
+            if kind == 0:
+                w = phi[x]
+                if y < w:  # a no-op behind x's red, like all up to red w
+                    t = rc[w] - bc[x]
+                    heapq.heappush(heap, (t << shift, 0, x, w, t, 1, None))
+                    continue
+            elif run.epoch != y:
                 continue  # stale: the run was rescheduled since
-            # pops come in non-decreasing order, so a new time is an unequal one
-            if prev_tau is not None and (f != prev_f or tau != prev_tau):
+            if key != prev_key:
                 if pieces is not None:
-                    pieces.append((prev_tau, tau, self.fs, self.fi))
+                    pieces.append((Fraction(prev_p, prev_q), Fraction(p, q),
+                                   self.fs, self.fi))
                 if self.check:
-                    self._verify_runs(Fraction(prev_tau + tau, 2))
-            prev_f, prev_tau = f, tau
-            # the cost fs*tau + fi as num/den, compared by cross-multiplication
-            den = tau.denominator
-            num = self.fs * tau.numerator + self.fi * den
-            if best_num is None or num * best_den < best_num * den:
-                best_num, best_den, best_tau = num, den, tau
-                best_phi = self.phi[:]
+                    self._verify_runs((prev_p * q + p * prev_q) // (2 * prev_q * q))
+                prev_key, prev_p, prev_q = key, p, q
+            # the cost fs*tau + fi as num/q, compared by cross-multiplication
+            num = self.fs * p + self.fi * q
+            if best_num is None or num * best_q < best_num * q:
+                best_num, best_q, best_p = num, q, p
+                best_phi = phi[:]
             self.events += 1
             if kind == 0:
                 self.align_events += 1
-                self._handle_alignment(x, y, tau)
+                self._handle_alignment(x, y, p)
                 if y + 1 < n:
                     t = rc[y + 1] - bc[x]
-                    heapq.heappush(heap, (_fkey(t), t, 0, x, y + 1, None))
+                    heapq.heappush(heap, (t << shift, 0, x, y + 1, t, 1, None))
             else:
                 self.move_events += 1
-                self._handle_move(run, tau)
-        return Fraction(best_num, best_den), best_tau, best_phi, pieces
+                self._handle_move(run, p, q)
+        return best_num, best_p, best_q, best_phi, pieces
 
 
 def emdut_1d_sweep(
@@ -352,21 +356,17 @@ def emdut_1d_sweep(
     rc = [rx[j] for j in rorder]
 
     sweep = _Sweep(bc, rc, envelope_cls, check)
-    best_v, best_tau, best_phi, pieces = sweep.run(collect_pieces)
+    best_num, best_p, best_q, best_phi, pieces = sweep.run(collect_pieces)
 
-    value = Fraction(best_v, denom)
-    tau = Fraction(best_tau, denom)
     assignment = [0] * m
     for j, v in enumerate(best_phi):
         assignment[border[j]] = rorder[v]
-    result = (value, tau, tuple(assignment))
+    den = best_q * denom
+    result = (Fraction(best_num, den), Fraction(best_p, den), tuple(assignment))
     if return_stats:
-        descaled = None
-        if pieces is not None:
-            descaled = [
-                (Fraction(lo, denom), Fraction(hi, denom), fs, Fraction(fi, denom))
-                for lo, hi, fs, fi in pieces
-            ]
+        descaled = None if pieces is None else [
+            (Fraction(lo, denom), Fraction(hi, denom), fs, Fraction(fi, denom))
+            for lo, hi, fs, fi in pieces]
         stats = SweepStats(sweep.events, sweep.align_events, sweep.move_events,
                            descaled, sweep.move_log)
         return (*result, stats)

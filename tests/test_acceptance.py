@@ -146,7 +146,7 @@ def test_criterion_04_envelope_tree_equals_reference():
                 tau = F(rng.randint(-150, 150), rng.choice([1, 1, 2]))
                 assert naive.value_at(tau) == tree.value_at(tau)
                 t0 = rng.randint(-100, 100)
-                assert naive.first_root(t0) == tree.first_root(t0)
+                assert naive.root_piece(t0, 1) == tree.root_piece(t0, 1)
     _report(4, f"augmented tree == list reference across {sequences} op sequences")
 
 
@@ -283,3 +283,20 @@ def test_criterion_10_bench_scaling_trend(capsys):
     assert all(2.5 <= r <= 6.5 for r in ratios), (millis, ratios)
     _report(10, f"bench completed; consecutive-size time ratios "
                 f"{[round(r, 2) for r in ratios]} lie in [2.5, 6.5]")
+
+
+def test_asymmetric_sweep_event_scaling():
+    # criterion 10's bench runs |B| = |R|, where no run ever moves; here
+    # n = 2m, so reassignments and envelopes take part.  Events, not
+    # times, are compared, so the bounds cannot flake.
+    events = []
+    for m in (50, 100, 200):
+        n = 2 * m
+        rng = random.Random(0xACCE11 + m)
+        B, R = rand_ints_1d(rng, m, 0, 10 * n), rand_ints_1d(rng, n, 0, 10 * n)
+        *_, stats = emdut_1d_sweep(B, R, return_stats=True)
+        assert stats.events <= 4 * n * m + 4
+        assert stats.reassignment_events > 0
+        events.append(stats.events)
+    ratios = [b / a for a, b in zip(events, events[1:])]
+    assert all(3 <= r <= 5 for r in ratios), (events, ratios)

@@ -162,6 +162,25 @@ def test_linf_budget_is_checked_before_any_plane_is_built(tmp_path):
     assert time.perf_counter() - t0 < 20
 
 
+def test_linf_budget_refuses_on_the_plane_lower_bound_at_once(tmp_path):
+    # d = 1500: counting the 2.25 million plane families would take many
+    # seconds, but C(d*d, d) alone already exceeds the budget
+    d = 1500
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text(f"{d}\n" + " ".join(str(k) for k in range(d)) + "\n")
+    red.write_text(f"{d}\n" + " ".join(str(3 * k + 1) for k in range(d)) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(emdut.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "emdut.cli", "solve", "emdut-hd", "--metric", "linf",
+         "--blue", str(blue), "--red", str(red)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1 and "needs at least" in proc.stderr
+    assert time.perf_counter() - t0 < 2
+
+
 def test_huge_dimension_line_exits_2_naming_line_1(capsys, tmp_path):
     empty = tmp_path / "e.txt"
     empty.write_text("1000000000000\n")

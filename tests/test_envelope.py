@@ -10,27 +10,34 @@ from emdut.envelope import NaiveEnvelope, TreeEnvelope, node_allocations
 BACKENDS = (NaiveEnvelope, TreeEnvelope)
 
 
+def _root(env, t0):
+    """The envelope's first root from t0 on, read through root_piece."""
+    t0 = F(t0)
+    got = env.root_piece(t0.numerator, t0.denominator)
+    return None if got is None else F(got[0], got[1])
+
+
 def test_build_examples():
     for cls in BACKENDS:
         empty = cls()
-        assert empty.root_piece(F(0)) is None
+        assert empty.root_piece(0, 1) is None
         with pytest.raises(ValueError):
             empty.value_at(F(0))
 
-        single = cls([(F(-2), F(4), 0)])
+        single = cls([(-2, 4, 0)])
         assert single.value_at(F(0)) == 4
-        assert single.first_root(F(0)) == 2
+        assert _root(single, 0) == 2
 
-        pair = cls([(F(-2), F(4), 0), (F(-1), F(1), 1)])
+        pair = cls([(-2, 4, 0), (-1, 1, 1)])
         assert pair.value_at(F(0)) == 1
         assert pair.value_at(F(3)) == -2
-        assert pair.first_root(F(0)) == 1
+        assert _root(pair, 0) == 1
 
 
 def test_root_none_when_all_positive_constant():
     for cls in BACKENDS:
-        flat = cls([(F(0), F(3), 0), (F(0), F(5), 1)])
-        assert flat.first_root(F(-100)) is None
+        flat = cls([(0, 3, 0), (0, 5, 1)])
+        assert _root(flat, -100) is None
 
 
 def _expected_root_piece(lines, t0):
@@ -71,12 +78,17 @@ def test_root_tag_names_a_line_at_or_below_zero_at_the_root():
                      for i, a in enumerate(slopes)]
         else:
             lines, zero = _tie_heavy_lines(rng, k)
+        # envelopes hold integer lines; scaling each line by 6 keeps every
+        # root and every tag
+        lines = [(6 * a, int(6 * b), tag) for a, b, tag in lines]
         t0 = F(rng.randint(-30, 30), rng.choice([1, 2]))
         if zero is not None and rng.random() < 0.5:
             t0 = zero
         want = _expected_root_piece(lines, t0)
+        if want is not None:
+            want = (want[0].numerator, want[0].denominator, want[1])
         for cls in BACKENDS:
-            got = cls(lines, seed=trial).root_piece(t0)
+            got = cls(lines, seed=trial).root_piece(t0.numerator, t0.denominator)
             assert got == want, (cls.__name__, lines, t0, got, want)
 
 
@@ -113,7 +125,7 @@ def _random_ops(seed, ops, naive, tree, slope_lo=-40, slope_hi=40):
             for tau in (rng.randint(-60, 60), F(rng.randint(-99, 99), 2)):
                 assert naive.value_at(tau) == tree.value_at(tau)
             t0 = rng.randint(-80, 80)
-            assert naive.first_root(t0) == tree.first_root(t0)
+            assert _root(naive, t0) == _root(tree, t0)
     return k
 
 
@@ -137,7 +149,7 @@ def test_lazy_offsets_flush_to_same_answers():
             tau = F(rng.randint(-200, 200), rng.randint(1, 3))
             if len(tree):
                 assert rebuilt.value_at(tau) == tree.value_at(tau)
-            assert rebuilt.first_root(tau) == tree.first_root(tau)
+            assert _root(rebuilt, tau) == _root(tree, tau)
 
 
 def test_update_work_grows_sublinearly():
@@ -154,6 +166,6 @@ def test_update_work_grows_sublinearly():
             pos = rng.randrange(len(tree))
             a, b, tag = tree.remove(pos)
             tree.insert(pos, a, b, tag)
-            tree.first_root(rng.randint(-100, 100))
+            tree.root_piece(rng.randint(-100, 100), 1)
         costs[k] = (node_allocations() - before) / 100
     assert costs[512] < costs[64] * (512 / 64) / 2, costs

@@ -5,7 +5,9 @@ import pytest
 
 from emdut.core import point_set_1d
 from emdut.emd import emd_1d_monotone
+from emdut.hardness import OVInstance, has_orthogonal_pair, ov_reduction
 from emdut.sweep1d import (
+    _Sweep,
     emdut_1d_alignment_oracle,
     emdut_1d_sweep,
     emdut_1d_symmetric,
@@ -140,6 +142,53 @@ def test_float_filtered_heap_keys_stay_exact(base):
         pieces = stats.pieces
         assert all(lo < hi for lo, hi, _, _ in pieces)
         assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+
+
+@pytest.mark.parametrize(
+    "base", [0, 2**70, 10**400, -(10**400)], ids=["0", "2**70", "1e400", "-1e400"]
+)
+def test_integer_heap_keys_order_event_times_exactly(base):
+    # every time p/q in [base - 1, base + 1] whose q is 1 or 2i <= 2m, the
+    # denominators the sweep's times can have; unreduced pairs included
+    for m in (1, 2, 7, 65):
+        shift = _Sweep([0] * m, [0] * m, None, False).shift
+        times = sorted(
+            (F(p, q), (p << shift) // q)
+            for q in [1] + [2 * i for i in range(1, m + 1)]
+            for p in range((base - 1) * q, (base + 1) * q + 1)
+        )
+        for (t1, k1), (t2, k2) in zip(times, times[1:]):
+            assert (k1 < k2) if t1 < t2 else (k1 == k2), (m, t1, t2)
+
+
+def test_equal_sizes_pop_each_alignment_from_its_own_red_on():
+    # |B| = |R|: blue j's alignments with reds 0..j-1 lag behind its red
+    # and are never counted, so j meets the n - j reds from its own on
+    rng = random.Random(109)
+    for n in (1, 2, 5, 17, 40):
+        B, R = rand_ints_1d(rng, n, -50, 50), rand_ints_1d(rng, n, -50, 50)
+        *_, stats = emdut_1d_sweep(B, R, check=True, return_stats=True)
+        assert stats.alignment_events == n * (n + 1) // 2
+        assert stats.reassignment_events == 0
+
+
+def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments():
+    # OV gadgets: blues in clusters far apart, so most alignments happen
+    # behind a blue's red and are skipped
+    for seed, density in ((1091, 0.5), (1093, 0.85)):  # a yes and a no instance
+        rng = random.Random(seed)
+        xs, ys = (tuple(tuple(int(rng.random() < density) for _ in range(2))
+                        for _ in range(3)) for _side in range(2))
+        inst = OVInstance(xs, ys)
+        gi = ov_reduction(inst)
+        m, n = len(gi.blue), len(gi.red)
+        value, tau, phi, stats = emdut_1d_sweep(gi.blue, gi.red, check=True,
+                                                return_stats=True)
+        assert stats.alignment_events <= m * n / 2, (stats, m, n)
+        assert (value <= gi.lam) == has_orthogonal_pair(inst)
+        cost = sum(abs(gi.blue.points[j][0] + tau - gi.red.points[phi[j]][0])
+                   for j in range(m))
+        assert cost == value == emd_1d_monotone(gi.blue.translate((tau,)), gi.red)[0]
 
 
 def test_sweep_reports_smallest_optimal_translation():
