@@ -9,6 +9,7 @@ one-line diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -287,9 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use.
+
+    Parsing leaves no state in it, and building one takes about a
+    millisecond, which in-process callers of :func:`main` would otherwise
+    pay on every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
             return _cmd_solve(args)

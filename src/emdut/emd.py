@@ -10,19 +10,27 @@ injective blue-to-red matching):
 * ``emd_bruteforce``   -- factorial enumeration, the test oracle.
 
 Every cost matrix, here and in the translation solvers, comes from
-:func:`_cost_matrix`, and rationals become integers only in
-:func:`_as_int_matrix`: each solve scales its points (with the
-translation, if any) once by the lcm of their denominators, so every
-Hungarian cost matrix is built from ints.  The lexicographically
-smallest optimal witness comes from that same single solve:
-:func:`_lex_min_assignment` appends the assignment, read as a base-n
-number, below the lowest digit of the integer cost.
+:func:`_cost_matrix`, a fold over the axes of :func:`_add_axis`, which
+adds one axis's distances to the rows (L1) or takes their maximum with
+it (Linf).  The grid walk of the translation solver keeps the folded
+rows of each axis prefix, so a new translation folds in only its last
+axis.  Rationals become integers only in :func:`_as_int_matrix`: each
+solve scales its points (with the translation, if any) once by the lcm
+of their denominators, so every Hungarian cost matrix is built from
+ints.  The lexicographically smallest optimal witness comes from that
+same single solve: :func:`_lex_min_assignment` appends the assignment,
+read as a base-n number, below the lowest digit of the integer cost.
+
+The Hungarian solver also returns its column potentials, all <= 0.  With
+them, :func:`_dual_bound` gives a lower bound on the optimum of any other
+cost matrix of the same shape in one pass over it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,14 +86,19 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
     return value, tuple(assignment)
 
 
-def _min_cost_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+def _min_cost_assignment(
+    cost: Sequence[Sequence[int]],
+) -> tuple[int, list[int], list[int]]:
     """Rectangular (m <= n) mincost assignment by shortest augmenting paths.
 
-    Callers pass integer costs, so potentials and reduced costs stay exact
-    ints of any size; float infinity appears only as an untouched-column
-    sentinel in comparisons, which Python makes exactly against ints.
-    Unmatched columns behave like zero-cost dummy rows, which is exactly
-    the padding semantics the EMD contract asks for.
+    Returns (total, assignment, column potentials).  Callers pass integer
+    costs, so potentials and reduced costs stay exact ints of any size;
+    float infinity appears only as an untouched-column sentinel in
+    comparisons, which Python makes exactly against ints.  Unmatched
+    columns behave like zero-cost dummy rows, which is exactly the padding
+    semantics the EMD contract asks for.  A column's potential only ever
+    drops, so every potential is <= 0, and a column left free was never
+    reached and keeps 0.
     """
     m = len(cost)
     n = len(cost[0]) if m else 0
@@ -135,18 +148,45 @@ def _min_cost_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]
     for j in range(1, n + 1):
         if match_row[j]:
             assignment[match_row[j] - 1] = j - 1
-    return sum(cost[i][assignment[i]] for i in range(m)), assignment
+    return sum(cost[i][assignment[i]] for i in range(m)), assignment, v[1:]
+
+
+def _dual_bound(cost: Sequence[Sequence[int]], v: Sequence[int]) -> int:
+    """A lower bound on the mincost assignment of ``cost`` from potentials v.
+
+    With every v_j <= 0, u_i = min_j (c_ij - v_j) makes (u, v) feasible for
+    the dual of the rectangular assignment, so sum(u) + sum(v) is at most
+    the optimum.  With the potentials of ``cost``'s own solve it is the
+    optimum.
+    """
+    return sum(v) + sum(min(map(operator.sub, row, v)) for row in cost)
+
+
+def _add_axis(rows, blues, reds, a: int, shift, metric: Metric) -> list[list]:
+    """``rows`` with |b_a + shift - r_a| added (L1) or maxed in (Linf).
+
+    Entries keep the type of the coordinates, ints or Fractions.
+    """
+    col = [r[a] for r in reds]
+    shifted = [b[a] + shift for b in blues]
+    if metric is Metric.L1:
+        return [[c + abs(x - y) for c, y in zip(row, col)]
+                for row, x in zip(rows, shifted)]
+    # max(e, c) written out: the builtin call per entry takes twice as long
+    return [[e if (e := abs(x - y)) >= c else c for c, y in zip(row, col)]
+            for row, x in zip(rows, shifted)]
 
 
 def _cost_matrix(blues, reds, metric: Metric, tau=None) -> list[list]:
     """Distances from each blue (shifted by ``tau``) to each red.
 
-    Points are coordinate tuples of ints or Fractions; entries keep their type.
+    Points are coordinate tuples of ints or Fractions; entries keep their
+    type.  The distances are folded in one axis at a time from zeros.
     """
-    if tau is not None:
-        blues = [tuple(c + t for c, t in zip(b, tau)) for b in blues]
-    agg = sum if metric is Metric.L1 else max
-    return [[agg([abs(x - y) for x, y in zip(b, r)]) for r in reds] for b in blues]
+    rows = [[0] * len(reds) for _ in blues]
+    for a in range(len(blues[0]) if blues else 0):
+        rows = _add_axis(rows, blues, reds, a, 0 if tau is None else tau[a], metric)
+    return rows
 
 
 def _as_int_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -174,7 +214,7 @@ def _lex_min_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     for i, row in enumerate(cost):
         digit = n ** (m - 1 - i)
         perturbed.append([c * scale + j * digit for j, c in enumerate(row)])
-    total, assignment = _min_cost_assignment(perturbed)
+    total, assignment, _ = _min_cost_assignment(perturbed)
     return total // scale, assignment
 
 

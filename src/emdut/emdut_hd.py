@@ -18,9 +18,13 @@ The product is never built.  The L1 cost at tau is at least
 sum_a g_a(tau_a), where g_a is the 1D partial-matching EMD of axis a
 alone, so the search walks the product depth-first, each axis in
 ascending g_a order, and cuts a branch once its bound is strictly above
-the best value found.  Only the surviving translations get a Hungarian
-solve.  Ties are never cut, so the lexicographically smallest optimal
-translation, in the original coordinates, is the one reported.
+the best value found.  The walk keeps on its stack the cost rows of each
+axis prefix, so a translation that passes adds only its last axis to
+them.  Before its Hungarian solve, a translation is cut again when the
+bound that the column potentials of the last solve give on its costs is
+strictly above the best value (a neighbour-dual bound).  Ties are never
+cut, so the lexicographically smallest optimal translation, in the
+original coordinates, is the one reported.
 
 Linf in dimension >= 3 evaluates the exact EMD at every vertex of the
 full arrangement.  A candidate budget, checked against the candidate
@@ -37,8 +41,10 @@ from typing import Optional, Sequence
 
 from .core import Metric, Point, PointSet, _int_str, zero_point
 from .emd import (
+    _add_axis,
     _as_int_matrix,
     _cost_matrix,
+    _dual_bound,
     _lex_min_assignment,
     _min_cost_assignment,
 )
@@ -189,8 +195,10 @@ def _grid_search(bs, rs, offsets, rotated: bool):
     """(tau, frame_tau, evaluated): the optimum, unrotated and in the frame.
 
     Branch and bound over the offset product with the separable bound
-    sum_a g_a(tau_a); a branch is cut only when its bound is strictly
+    sum_a g_a(tau_a), then at each leaf with the dual bound of the last
+    solve's column potentials; either cuts only when its bound is strictly
     above the incumbent, so every optimal translation is evaluated.
+    ``evaluated`` counts the Hungarian solves.
     """
     d = len(offsets)
     orders = []
@@ -204,10 +212,14 @@ def _grid_search(bs, rs, offsets, rotated: bool):
     best_v = best_tau = best_frame = None
     evaluated = 0
     # depth-first without recursion, so d is not bounded by the stack:
-    # axis a tries orders[a][nxt[a]] next, under the bound sums[a] of axes < a
+    # axis a tries orders[a][nxt[a]] next, under the bound sums[a] and the
+    # cost rows rows[a] of axes < a
     nxt = [0] * d
     sums = [0] * d
     tau = [0] * d
+    rows = [None] * d
+    rows[0] = [[0] * len(rs) for _ in bs]
+    duals = None
     a = 0
     while a >= 0:
         if nxt[a] == len(orders[a]):
@@ -219,13 +231,16 @@ def _grid_search(bs, rs, offsets, rotated: bool):
         if best_v is not None and bound + rest[a + 1] > best_v:
             nxt[a] = len(orders[a])  # g ascends, so the later offsets are cut too
             continue
+        cost = _add_axis(rows[a], bs, rs, a, tau[a], Metric.L1)
         if a + 1 < d:
             a += 1
-            nxt[a], sums[a] = 0, bound
+            nxt[a], sums[a], rows[a] = 0, bound, cost
+            continue
+        if duals is not None and _dual_bound(cost, duals) > best_v:
             continue
         evaluated += 1
+        v, _, duals = _min_cost_assignment(cost)
         frame = tuple(tau)
-        v = _min_cost_assignment(_cost_matrix(bs, rs, Metric.L1, frame))[0]
         orig = _unrotate(frame, rotated)
         if best_v is None or v < best_v or (v == best_v and orig < best_tau):
             best_v, best_tau, best_frame = v, orig, frame

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import emdut
+import emdut.cli as cli
 from emdut.cli import main
 from emdut.core import parse_point_set
 from emdut.hardness import OVInstance, ov_reduction
@@ -75,6 +76,46 @@ def test_solve_emd_and_hd(capsys, tmp_path):
     )
     assert code == 0
     assert "translation" not in json.loads(out)
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, request,
+                                                   tmp_path):
+    # main builds its argparse tree once, and no call leaves state in it
+    # that changes the next one's answer
+    built = []
+    real = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return real()
+
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text("2\n0 0\n1 4\n")
+    red.write_text("2\n0 1\n3 5\n2 2\n")
+    solve = ["solve", "emdut-hd", "--blue", str(blue), "--red", str(red)]
+
+    def answer():
+        code, out, err = run(capsys, solve)
+        payload = json.loads(out)
+        del payload["stats"]["millis"]
+        return code, payload, err
+
+    first = answer()
+    graph = tmp_path / "G.txt"
+    graph.write_text("3\n1 2\n1 3\n2 3\n")
+    gen = ["gen", "clique", "--variant", "l1-asym", "--k", "3",
+           "--graph", str(graph), "--out-prefix", str(tmp_path / "cl")]
+    assert run(capsys, gen) == run(capsys, gen)
+    with pytest.raises(SystemExit) as exc:
+        main(solve + ["--budget", "many"])
+    assert exc.value.code == 2 and "--budget" in capsys.readouterr().err
+    assert first[0] == 0 and first[1]["value"] == "1"
+    assert answer() == first
+    assert len(built) == 1
 
 
 def test_exit_codes(capsys, files, tmp_path):

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from emdut.core import Metric, lp_distance, point_set, point_set_1d
-from emdut.emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
+from emdut.emd import (
+    _dual_bound,
+    _min_cost_assignment,
+    emd_1d_monotone,
+    emd_bruteforce,
+    emd_hungarian,
+)
 
 from conftest import huge_lcm_points, rand_ints_1d, rand_points
 
@@ -156,3 +162,30 @@ def test_hungarian_witness_weights_beyond_float_range():
     B = point_set(2, [(1, 2)] * 150)
     R = point_set(2, [(1, 2)] * 155)
     assert emd_hungarian(B, R, Metric.LINF) == (0, tuple(range(150)))
+
+
+def test_column_potentials_bound_every_matrix_of_their_shape():
+    # The grid walk cuts a translation when the potentials of the last solve
+    # bound its costs above the incumbent, so that bound must never exceed
+    # the optimum.  The totals themselves are checked against brute force
+    # by the witness tests above.
+    rng = random.Random(30)
+    tight = 0
+    for k in range(1200):
+        m = rng.randint(1, 6)
+        n = rng.randint(m, 8)
+        hi = (2, 10, 10**6)[k % 3]  # a third of the matrices are tie-heavy
+        cost = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
+        total, assignment, v = _min_cost_assignment(cost)
+        assert len(v) == n and all(x <= 0 for x in v)
+        assert sorted(set(assignment)) == sorted(assignment)
+        assert _dual_bound(cost, v) == total
+        if k % 2:  # a neighbour: every entry moved by a little
+            other = [[max(0, c + rng.randint(-2, 2) * (1 + hi // 20)) for c in row]
+                     for row in cost]
+        else:
+            other = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
+        bound, optimum = _dual_bound(other, v), _min_cost_assignment(other)[0]
+        assert bound <= optimum
+        tight += bound == optimum
+    assert tight > 300

@@ -215,6 +215,21 @@ def test_grid_search_never_builds_the_candidate_product():
     assert matching_cost(B, R, Metric.L1, phi, tau) == value
 
 
+def test_dual_cut_leaves_few_solves_on_unrelated_sets():
+    # Unrelated sets of equal size: the separable bound lets 1530 of the
+    # 18^4 translations through to a Hungarian solve; the bound from the
+    # last solve's column potentials cuts most of them.
+    rng = random.Random(3)
+    B, R = (point_set(2, [(rng.randint(0, 10**6), rng.randint(0, 10**6))
+                          for _ in range(18)])
+            for _side in range(2))
+    value, tau, phi, candidates, evaluated = emdut_hd(B, R, Metric.L1,
+                                                      return_stats=True)
+    assert candidates == 18**4
+    assert evaluated <= 600
+    assert matching_cost(B, R, Metric.L1, phi, tau) == value
+
+
 def test_rotation_examples():
     rot = rotate_45_to_l1(point_set(2, [(0, 0), (2, 0)]))
     assert rot.points == ((F(0), F(0)), (F(1), F(1)))
@@ -276,18 +291,21 @@ def test_emd_value_at_examples_and_bad_input():
 def test_solver_cost_matrices_hold_only_ints(monkeypatch):
     # Points are scaled into an integer frame once per solve, so no cost
     # matrix on a solver path ever holds a Fraction, even on rational input.
+    # The grid walk folds its rows axis by axis, so its builder is spied too.
     modules = [importlib.import_module(f"emdut.{name}")
                for name in ("emd", "emdut_hd", "hardness")]
     built = []
-    real = modules[0]._cost_matrix
 
-    def spy(*args, **kwargs):
-        rows = real(*args, **kwargs)
-        built.append(rows)
-        return rows
+    def spy(real):
+        def wrapper(*args, **kwargs):
+            rows = real(*args, **kwargs)
+            built.append(rows)
+            return rows
+        return wrapper
 
     for module in modules:
-        monkeypatch.setattr(module, "_cost_matrix", spy)
+        monkeypatch.setattr(module, "_cost_matrix", spy(module._cost_matrix))
+    monkeypatch.setattr(modules[1], "_add_axis", spy(modules[1]._add_axis))
     planar_b = point_set(2, [(F(1, 3), F(-2, 7)), (F(5, 2), 0)])
     planar_r = point_set(2, [(F(4, 5), F(1, 9)), (2, F(-3, 4)), (F(7, 6), 3)])
     solid_b = point_set(3, [(F(1, 2), 0, F(2, 3))])
