@@ -3,8 +3,12 @@
 Three routes with one contract (minimum total matched distance of an
 injective blue-to-red matching):
 
-* ``emd_1d_monotone``  -- 1D dynamic program over sorted orders; an
-  optimal matching always exists that is monotone, so the DP is exact.
+* ``emd_1d_monotone``  -- 1D match-or-skip dynamic program,
+  :func:`_monotone_rows`, in O(|B|*(|R|-|B|+1)) on the sorted integer
+  frame of :func:`_sorted_frame`; an optimal matching always exists that
+  is monotone, so the DP is exact.  Every 1D routine of the package runs
+  on that frame, and the DP also gives the translation solvers their
+  per-axis bounds.
 * ``emd_hungarian``    -- general-dimension mincost matching via shortest
   augmenting paths with exact integer potentials.
 * ``emd_bruteforce``   -- factorial enumeration, the test oracle.
@@ -15,11 +19,12 @@ adds one axis's distances to the rows (L1) or takes their maximum with
 it (Linf).  The grid walk of the translation solver keeps the folded
 rows of each axis prefix, so a new translation folds in only its last
 axis.  Rationals become integers only in :func:`_as_int_matrix`: each
-solve scales its points (with the translation, if any) once by the lcm
-of their denominators, so every Hungarian cost matrix is built from
-ints.  The lexicographically smallest optimal witness comes from that
-same single solve: :func:`_lex_min_assignment` appends the assignment,
-read as a base-n number, below the lowest digit of the integer cost.
+solve, 1D or not, scales its points (with the translation, if any) once
+by the lcm of their denominators, so every DP row and every Hungarian
+cost matrix is built from ints.  The lexicographically smallest optimal
+witness comes from that same single solve: :func:`_lex_min_assignment`
+appends the assignment, read as a base-n number, below the lowest digit
+of the integer cost.
 
 The Hungarian solver also returns its column potentials, all <= 0.  With
 them, :func:`_dual_bound` gives a lower bound on the optimum of any other
@@ -39,18 +44,51 @@ from .core import Matching, Metric, PointSet
 _INF = float("inf")  # comparison-only sentinel; never mixed into results
 
 
-def _sorted_1d(ps: PointSet) -> list[tuple[Fraction, int]]:
-    # Stable: equal coordinates keep index order.
-    return sorted(((p[0], i) for i, p in enumerate(ps.points)), key=lambda t: (t[0], t[1]))
+def _sorted_frame(blue: PointSet, red: PointSet):
+    """(bs, rs, border, rorder, den): 1D points on one integer frame, sorted.
+
+    ``bs`` and ``rs`` are the scaled coordinates of ``_as_int_matrix`` in
+    stable sorted order (equal coordinates keep index order); ``border``
+    and ``rorder`` map sorted positions back to the original indices.
+    """
+    ints, den = _as_int_matrix(blue.points + red.points)
+    xs = [p[0] for p in ints]
+    m = len(blue)
+    border = sorted(range(m), key=xs.__getitem__)
+    rorder = sorted(range(len(red)), key=xs[m:].__getitem__)
+    return [xs[i] for i in border], [xs[m + j] for j in rorder], border, rorder, den
+
+
+def _monotone_rows(bs: Sequence[int], rs: Sequence[int], shift: int = 0) -> list[list[int]]:
+    """The match-or-skip DP of sorted ``bs`` shifted by ``shift`` into sorted ``rs``.
+
+    rows[i][k] is the cheapest monotone matching of blues i.. into reds
+    i+k..; only k <= |R| - |B| can complete, so each row has that many
+    plus one entries, and rows[0][0] is the EMD.
+    """
+    m = len(bs)
+    slack = len(rs) - m
+    rows = [None] * m + [[0] * (slack + 1)]
+    for i in range(m - 1, -1, -1):
+        b = bs[i] + shift
+        row = rows[i + 1][:]  # entry k is read as the next row's before it is set
+        best = None
+        for k in range(slack, -1, -1):
+            take = abs(b - rs[i + k]) + row[k]
+            if best is None or take < best:
+                best = take
+            row[k] = best
+        rows[i] = row
+    return rows
 
 
 def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
     """Exact 1D EMD with a monotone witness matching.
 
-    Sorts copies of both sets, runs the O(|B|*|R|) match-or-skip dynamic
-    program, and reconstructs greedily from the left so the witness is
-    the lexicographically smallest monotone matching (in sorted order).
-    The returned matching is expressed over the original indices.
+    Runs the O(|B|*(|R|-|B|+1)) match-or-skip DP on the sorted integer
+    frame, and reconstructs greedily from the left so the witness is the
+    lexicographically smallest monotone matching (in sorted order).  The
+    returned matching is expressed over the original indices.
     """
     if blue.dim != 1 or red.dim != 1:
         raise ValueError("emd_1d_monotone requires 1-dimensional point sets")
@@ -59,31 +97,16 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
         raise ValueError(f"|B| = {m} exceeds |R| = {n}")
     if m == 0:
         return Fraction(0), ()
-    bs = _sorted_1d(blue)
-    rs = _sorted_1d(red)
-    # cost[i][j] = min cost matching blues i.. into reds j.. monotonically.
-    cost: list[list] = [[None] * (n + 1) for _ in range(m + 1)]
-    for j in range(n + 1):
-        cost[m][j] = Fraction(0)
-    for i in range(m - 1, -1, -1):
-        bi = bs[i][0]
-        row = cost[i]
-        nxt = cost[i + 1]
-        # reds j < i can never host blue i monotonically when m blues remain
-        for j in range(n - (m - i), -1, -1):
-            take = abs(bi - rs[j][0]) + nxt[j + 1]
-            skip = row[j + 1]
-            row[j] = take if (skip is None or take <= skip) else skip
-    value = cost[0][0]
+    bs, rs, border, rorder, den = _sorted_frame(blue, red)
+    rows = _monotone_rows(bs, rs)
     assignment = [0] * m
-    j = 0
+    k = 0
     for i in range(m):
-        bi = bs[i][0]
-        while abs(bi - rs[j][0]) + cost[i + 1][j + 1] != cost[i][j]:
-            j += 1
-        assignment[bs[i][1]] = rs[j][1]
-        j += 1
-    return value, tuple(assignment)
+        # take the first red that some optimal completion matches to blue i
+        while abs(bs[i] - rs[i + k]) + rows[i + 1][k] != rows[i][k]:
+            k += 1
+        assignment[border[i]] = rorder[i + k]
+    return Fraction(rows[0][0], den), tuple(assignment)
 
 
 def _min_cost_assignment(

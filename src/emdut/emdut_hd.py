@@ -16,9 +16,10 @@ run in that frame, and only the answer leaves it.
 
 The product is never built.  The L1 cost at tau is at least
 sum_a g_a(tau_a), where g_a is the 1D partial-matching EMD of axis a
-alone, so the search walks the product depth-first, each axis in
-ascending g_a order, and cuts a branch once its bound is strictly above
-the best value found.  The walk keeps on its stack the cost rows of each
+alone, computed by the integer monotone DP ``emd._monotone_rows``, so
+the search walks the product depth-first, each axis in ascending g_a
+order, and cuts a branch once its bound is strictly above the best
+value found.  The walk keeps on its stack the cost rows of each
 axis prefix, so a translation that passes adds only its last axis to
 them.  Before its Hungarian solve, a translation is cut again when the
 bound that the column potentials of the last solve give on its costs is
@@ -47,6 +48,7 @@ from .emd import (
     _dual_bound,
     _lex_min_assignment,
     _min_cost_assignment,
+    _monotone_rows,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -171,26 +173,6 @@ def _unrotate(tau: tuple[int, ...], rotated: bool) -> tuple[int, ...]:
     return (tau[0] + tau[1], tau[0] - tau[1]) if rotated else tau
 
 
-def _emd_1d_sorted(bs: Sequence[int], rs: Sequence[int], shift: int) -> int:
-    """1D EMD of sorted ``bs`` shifted by ``shift`` into sorted ``rs``.
-
-    The match-or-skip DP of ``emd_1d_monotone`` on one rolling row: after
-    blue i, row[k] is the cheapest monotone matching of blues 0..i into
-    reds 0..i+k.
-    """
-    slack = len(rs) - len(bs)
-    row = [0] * (slack + 1)
-    for i, b in enumerate(bs):
-        b += shift
-        best = None
-        for k in range(slack + 1):
-            take = row[k] + abs(b - rs[i + k])
-            if best is None or take < best:
-                best = take
-            row[k] = best
-    return row[slack]
-
-
 def _grid_search(bs, rs, offsets, rotated: bool):
     """(tau, frame_tau, evaluated): the optimum, unrotated and in the frame.
 
@@ -205,7 +187,7 @@ def _grid_search(bs, rs, offsets, rotated: bool):
     for a, offs in enumerate(offsets):
         ba = sorted(b[a] for b in bs)
         ra = sorted(r[a] for r in rs)
-        orders.append(sorted((_emd_1d_sorted(ba, ra, t), t) for t in offs))
+        orders.append(sorted((_monotone_rows(ba, ra, t)[0][0], t) for t in offs))
     rest = [0] * (d + 1)  # rest[a]: sum of the smallest bounds of axes a..
     for a in range(d - 1, -1, -1):
         rest[a] = rest[a + 1] + orders[a][0][0]

@@ -13,8 +13,11 @@ kinds drive the sweep: alignment events (a blue meets a red, changing a
 slope) and reassignment events (a run suffix shifts to the next reds,
 triggered by a root of the run's envelope).
 
-Internally the sweep scales all coordinates once by the lcm of their
-denominators (``emd._as_int_matrix``) and sorts those integers.  Every
+All three routines here, the alignment oracle included, run on one
+frame, ``emd._sorted_frame``: the coordinates scaled once by the lcm of
+their denominators and stably sorted.  The median algorithm takes the
+median of integer differences, and the oracle runs the DP
+``emd._monotone_rows`` at each integer offset.  In the sweep every
 event time is then a pair p/q of ints: q = 1 at an alignment, and a
 root's q divides 2i with i <= m, as run slopes lie in {0, -2, ..., -2m}.
 Distinct times differ by at least 1/(4m^2), so the heap key
@@ -34,7 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import PointSet
-from .emd import _as_int_matrix, emd_1d_monotone
+from .emd import _monotone_rows, _sorted_frame
 from .envelope import NaiveEnvelope, TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
@@ -65,17 +68,14 @@ def emdut_1d_symmetric(blue: PointSet, red: PointSet):
     n = len(blue)
     if n == 0:
         return Fraction(0), Fraction(0), ()
-    border = sorted(range(n), key=lambda i: (blue.points[i][0], i))
-    rorder = sorted(range(n), key=lambda i: (red.points[i][0], i))
-    diffs = sorted(
-        red.points[rorder[i]][0] - blue.points[border[i]][0] for i in range(n)
-    )
+    bs, rs, border, rorder, den = _sorted_frame(blue, red)
+    diffs = sorted(r - b for b, r in zip(bs, rs))
     tau = diffs[(n - 1) // 2]
-    value = sum((abs(tau - d) for d in diffs), Fraction(0))
+    value = sum(abs(tau - d) for d in diffs)
     assignment = [0] * n
     for i in range(n):
         assignment[border[i]] = rorder[i]
-    return value, tau, tuple(assignment)
+    return Fraction(value, den), Fraction(tau, den), tuple(assignment)
 
 
 def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
@@ -97,13 +97,9 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
         )
     if m == 0:
         return Fraction(0)
-    candidates = sorted({r[0] - b[0] for b in blue.points for r in red.points})
-    best = None
-    for tau in candidates:
-        value, _ = emd_1d_monotone(blue.translate((tau,)), red)
-        if best is None or value < best:
-            best = value
-    return best
+    bs, rs, _, _, den = _sorted_frame(blue, red)
+    offsets = {r - b for b in bs for r in rs}
+    return Fraction(min(_monotone_rows(bs, rs, t)[0][0] for t in offsets), den)
 
 
 @dataclass
@@ -168,8 +164,7 @@ class _Sweep:
         run = _Run(self.next_rid, bs, bt)
         self.next_rid += 1
         if self.phi[bt] < self.n - 1:
-            run.env = self.envelope_cls(self._run_lines(bs, bt, p // q),
-                                        seed=0xABCD + self.next_rid)
+            run.env = self.envelope_cls(self._run_lines(bs, bt, p // q))
         self.blue_run[bs:bt + 1] = [run] * (bt - bs + 1)
         self._reschedule(run, p, q)
         return run
@@ -347,14 +342,7 @@ def emdut_1d_sweep(
                                      [] if check else None))
         return out
 
-    ints, denom = _as_int_matrix(blue.points + red.points)
-    bx, rx = [p[0] for p in ints[:m]], [p[0] for p in ints[m:]]
-    # stable sorts: equal coordinates keep index order
-    border = sorted(range(m), key=bx.__getitem__)
-    rorder = sorted(range(n), key=rx.__getitem__)
-    bc = [bx[i] for i in border]
-    rc = [rx[j] for j in rorder]
-
+    bc, rc, border, rorder, denom = _sorted_frame(blue, red)
     sweep = _Sweep(bc, rc, envelope_cls, check)
     best_num, best_p, best_q, best_phi, pieces = sweep.run(collect_pieces)
 

@@ -40,6 +40,31 @@ def test_monotone_witness_is_increasing_on_sorted_inputs():
         value, phi = emd_1d_monotone(B, R)
         assert list(phi) == sorted(phi)
         assert value == emd_bruteforce(B, R, Metric.L1)
+    # unsorted inputs, duplicates and coprime denominators: the witness is
+    # the lexicographically smallest optimal monotone matching of the
+    # stably sorted sets, found here over all sorted red subsets
+    for case in range(300):
+        m = rng.randint(1, 6)
+        n = rng.randint(m, 8)
+        if case % 3 == 0:
+            draw = lambda: Fraction(rng.randint(0, 4))
+        elif case % 3 == 1:
+            draw = lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 7)))
+        else:
+            draw = lambda: Fraction(rng.randint(0, 6), rng.choice((1, 3)))
+        bx = [draw() for _ in range(m)]
+        rx = [draw() for _ in range(n)]
+        border = sorted(range(m), key=lambda i: (bx[i], i))
+        rorder = sorted(range(n), key=lambda j: (rx[j], j))
+        best = want = None
+        for cols in itertools.combinations(range(n), m):
+            cost = sum(abs(bx[border[i]] - rx[rorder[c]]) for i, c in enumerate(cols))
+            if best is None or cost < best:
+                best, want = cost, cols
+        expected = [0] * m
+        for i, c in enumerate(want):
+            expected[border[i]] = rorder[c]
+        assert emd_1d_monotone(point_set_1d(bx), point_set_1d(rx)) == (best, tuple(expected))
 
 
 def test_bruteforce_examples():

@@ -55,12 +55,21 @@ def test_oracle_examples_and_guard():
         emdut_1d_alignment_oracle(point_set_1d(range(101)), point_set_1d(range(101)))
 
 
+def _rand_rationals_1d(rng, n, lo=-60, hi=60):
+    # coprime denominators, so the frame's lcm mixes several of them
+    return point_set_1d([F(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 7)))
+                         for _ in range(n)])
+
+
 def test_sweep_oracle_bruteforce_triad():
     rng = random.Random(100)
-    for _ in range(120):
+    for case in range(180):
         m = rng.randint(0, 8)
         n = rng.randint(max(m, 1), 10)
-        B, R = rand_ints_1d(rng, m), rand_ints_1d(rng, n)
+        if case < 120:
+            B, R = rand_ints_1d(rng, m), rand_ints_1d(rng, n)
+        else:
+            B, R = _rand_rationals_1d(rng, m), _rand_rationals_1d(rng, n)
         value, tau, phi = emdut_1d_sweep(B, R, check=True)
         assert value == emdut_1d_alignment_oracle(B, R)
         assert value == brute_force_1d_translated(B, R)
@@ -252,9 +261,12 @@ def test_sweep_cost_pieces_match_fixed_translation_solver():
 
 def test_symmetric_agreement_with_sweep():
     rng = random.Random(105)
-    for _ in range(60):
+    for case in range(90):
         n = rng.randint(1, 30)
-        B, R = rand_ints_1d(rng, n, -50, 50), rand_ints_1d(rng, n, -50, 50)
+        if case < 60:
+            B, R = rand_ints_1d(rng, n, -50, 50), rand_ints_1d(rng, n, -50, 50)
+        else:
+            B, R = _rand_rationals_1d(rng, n), _rand_rationals_1d(rng, n)
         v_med, tau_med, phi_med = emdut_1d_symmetric(B, R)
         v_sweep, _, _ = emdut_1d_sweep(B, R)
         assert v_med == v_sweep
