@@ -25,6 +25,11 @@ Distinct times differ by at least 1/(4m^2), so the heap key
 any magnitude.  Each blue's alignments start at its own red, and one
 that pops behind the blue's matched red is moved up to that red
 uncounted: the matching only advances, so it would change nothing.
+A moved suffix slides on, one counted move per red, while its next free
+red lies below the next run and has the suffix's first coordinate: its
+switch lines are all (0, 0) there, so each step is the move a fresh run
+would pop at this same time, and as the cost is continuous and the best
+matching changes only on a strict improvement, taking it early is exact.
 ``Fraction`` is built only for the output, which is scaled back, the
 cost pieces and checks.
 """
@@ -49,7 +54,7 @@ _ENVELOPES = {"naive": NaiveEnvelope, "tree": TreeEnvelope}
 class SweepStats(NamedTuple):
     events: int
     alignment_events: int  # those at or after the blue's matched red
-    reassignment_events: int
+    reassignment_events: int  # slid steps over equal reds included
     pieces: Optional[list]  # (tau_lo, tau_hi, slope, intercept), descaled
     moves: Optional[list]   # (run_bs, run_bt, first_moved_blue), check mode only
 
@@ -239,10 +244,24 @@ class _Sweep:
             run.env.add_range(0, pos, -line_a, -line_b)
             run.bt = j - 1
             self._reschedule(run, p, q)
+        # slide: while the next free red lies below the next run and has the
+        # suffix's first coordinate, every switch line of the suffix is
+        # (0, 0), so a fresh run would pop its whole-run move at this same
+        # time; take those moves now
+        nxt = self.blue_run[bt + 1] if bt + 1 < self.m else None
+        limit = phi[nxt.bs] if nxt is not None else self.n
+        rc, r0 = self.rc, self.rc[phi[j]]
+        while phi[bt] + 1 < limit and rc[phi[bt] + 1] == r0:
+            if self.check:
+                assert all(a == b == 0 for a, b, _ in self._run_lines(j, bt, p // q))
+                self.move_log.append((j, bt, j))
+            self.events += 1
+            self.move_events += 1
+            for k in range(j, bt + 1):
+                phi[k] += 1
         # attach the moved suffix: merge with the next run when the red
         # indices become consecutive, otherwise start a fresh run
-        nxt = self.blue_run[bt + 1] if bt + 1 < self.m else None
-        if nxt is not None and phi[nxt.bs] == phi[bt] + 1:
+        if nxt is not None and limit == phi[bt] + 1:
             if nxt.env is not None:
                 base_a, base_b, _ = nxt.env.get(0)
                 for a, b, k in reversed(self._run_lines(j, bt, p // q, base_a, base_b)):

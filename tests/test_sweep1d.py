@@ -6,6 +6,7 @@ import pytest
 from emdut.core import point_set_1d
 from emdut.emd import emd_1d_monotone
 from emdut.hardness import OVInstance, has_orthogonal_pair, ov_reduction
+from emdut import sweep1d
 from emdut.sweep1d import (
     _Sweep,
     emdut_1d_alignment_oracle,
@@ -61,15 +62,27 @@ def _rand_rationals_1d(rng, n, lo=-60, hi=60):
                          for _ in range(n)])
 
 
+def _blocky_reds_1d(rng, n, lo=-12, hi=12):
+    # reds in blocks of 2-5 equal coordinates, so moved suffixes slide
+    xs = []
+    while len(xs) < n:
+        xs += [rng.randint(lo, hi)] * rng.randint(2, 5)
+    xs = xs[:n]
+    rng.shuffle(xs)
+    return point_set_1d(xs)
+
+
 def test_sweep_oracle_bruteforce_triad():
     rng = random.Random(100)
-    for case in range(180):
+    for case in range(220):
         m = rng.randint(0, 8)
         n = rng.randint(max(m, 1), 10)
         if case < 120:
             B, R = rand_ints_1d(rng, m), rand_ints_1d(rng, n)
-        else:
+        elif case < 180:
             B, R = _rand_rationals_1d(rng, m), _rand_rationals_1d(rng, n)
+        else:
+            B, R = rand_ints_1d(rng, m, -12, 12), _blocky_reds_1d(rng, n)
         value, tau, phi = emdut_1d_sweep(B, R, check=True)
         assert value == emdut_1d_alignment_oracle(B, R)
         assert value == brute_force_1d_translated(B, R)
@@ -181,9 +194,17 @@ def test_equal_sizes_pop_each_alignment_from_its_own_red_on():
         assert stats.reassignment_events == 0
 
 
-def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments():
+def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments(monkeypatch):
     # OV gadgets: blues in clusters far apart, so most alignments happen
-    # behind a blue's red and are skipped
+    # behind a blue's red and are skipped; reds repeat, so most moves slide
+    # a suffix over equal reds and are events without a heap pop
+    heappop, pops = sweep1d.heapq.heappop, [0]
+
+    def counting_pop(heap):
+        pops[0] += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(sweep1d.heapq, "heappop", counting_pop)
     for seed, density in ((1091, 0.5), (1093, 0.85)):  # a yes and a no instance
         rng = random.Random(seed)
         xs, ys = (tuple(tuple(int(rng.random() < density) for _ in range(2))
@@ -191,8 +212,14 @@ def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments():
         inst = OVInstance(xs, ys)
         gi = ov_reduction(inst)
         m, n = len(gi.blue), len(gi.red)
-        value, tau, phi, stats = emdut_1d_sweep(gi.blue, gi.red, check=True,
-                                                return_stats=True)
+        outs = []
+        for kind in ("naive", "tree"):
+            pops[0] = 0
+            outs.append(emdut_1d_sweep(gi.blue, gi.red, envelope=kind, check=True,
+                                       return_stats=True, collect_pieces=True))
+            assert pops[0] <= 0.7 * outs[-1][3].events, (kind, pops[0], outs[-1][3].events)
+        assert outs[0] == outs[1]
+        value, tau, phi, stats = outs[0]
         assert stats.alignment_events <= m * n / 2, (stats, m, n)
         assert (value <= gi.lam) == has_orthogonal_pair(inst)
         cost = sum(abs(gi.blue.points[j][0] + tau - gi.red.points[phi[j]][0])
