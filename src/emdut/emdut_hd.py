@@ -28,7 +28,8 @@ cut, so the lexicographically smallest optimal translation, in the
 original coordinates, is the one reported.
 
 Linf in dimension >= 3 evaluates the exact EMD at every vertex of the
-full arrangement.  A candidate budget, checked against the candidate
+full arrangement, the points and all vertices on one integer frame, and
+solves the witness in that frame too.  A candidate budget, checked against the candidate
 count before anything is enumerated, guards both paths.
 """
 
@@ -310,15 +311,18 @@ def emdut_hd(
         bs, rs, den, rotated = _grid_frame(blue, red, metric)
         offsets, candidates = _grid_offsets(bs, rs, budget)
         tau, frame_tau, evaluated = _grid_search(bs, rs, offsets, rotated)
-        best_tau = tuple(Fraction(c, den) for c in tau)
         frame_metric = Metric.L1
     else:
         vertices = candidate_translations(blue, red, metric, budget)
-        best_tau = min(vertices, key=lambda t: (emd_value_at(blue, red, metric, t), t))
         candidates = evaluated = len(vertices)
-        ints, den = _as_int_matrix(blue.points + red.points + (best_tau,))
-        bs, rs, frame_tau = ints[:m], ints[m:-1], ints[-1]
+        # one frame for the points and every vertex: den > 0, so the smallest
+        # (frame cost, frame tau) is the smallest (cost, tau)
+        ints, den = _as_int_matrix(blue.points + red.points + vertices)
+        bs, rs = ints[:m], ints[m:m + n]
+        tau = frame_tau = min(ints[m + n:], key=lambda t: (
+            _min_cost_assignment(_cost_matrix(bs, rs, metric, t))[0], t))
         frame_metric = metric
+    best_tau = tuple(Fraction(c, den) for c in tau)
     # frame costs are den times the metric's: same witness, value total/den
     total, phi = _lex_min_assignment(_cost_matrix(bs, rs, frame_metric, frame_tau))
     out = Fraction(total, den), best_tau, tuple(phi)

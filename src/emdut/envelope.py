@@ -3,15 +3,25 @@
 Holds a sequence of lines ``L[0..k-1]`` whose slopes are non-decreasing
 with position, and answers queries about ``g(tau) = min_i L[i](tau)``:
 
-* ``value_at(tau)``     -- exact value of g,
+* ``value_at(tau)``     -- exact value of g at an int or ``Fraction`` tau,
 * ``root_piece(p0, q0)`` -- the smallest tau >= t0 = p0/q0 with
-  g(tau) <= 0, as a pair (p, q) in lowest terms with q > 0, together
-  with the tag of the first line, in position order, whose value there
-  is <= 0,
+  g(tau) <= 0, as a pair (p, q) with q > 0, together with the tag of the
+  first line, in position order, whose value there is <= 0.  It needs
+  q0 > 0.  When g(t0) <= 0 it returns t0 as passed; otherwise the root
+  comes back in lowest terms.  With q0 < 0 the sign tests flip:
+  ``NaiveEnvelope([(-2, 4, 0)]).root_piece(0, -1)`` returns ``(0, -1, 0)``
+  though g(0) = 4.
 
 while supporting insertion/removal of single lines and adding a linear
 function to a contiguous range of positions.  Both backends follow that
 root rule exactly, so a sweep emits the same event log on either.
+
+There is one time type: a pair (p, q) of ints with q > 0.  Lines are
+``(slope, intercept, tag)`` triples with integer slope and intercept, so
+every crossing and every root is such a pair, and a line's value at p/q
+has the sign of slope*p + intercept*q.  Times are compared by
+cross-multiplication; ``value_at`` reads its argument's pair and builds
+the one value it returns from it.
 
 Two interchangeable implementations share that interface:
 
@@ -25,17 +35,15 @@ Two interchangeable implementations share that interface:
   into the parent because they are path-copied, never mutated, so updates
   cost polylogarithmic time instead of a rebuild.
 
-Lines are ``(slope, intercept, tag)`` triples with integer slope and
-intercept, so every root is an integer pair.  The tag is an opaque
-payload (the sweep stores blue-point ids there) and plays no part in the
-geometry.  Callers keep the slope order; the backends do not check it.
+The tag is an opaque payload (the sweep stores blue-point ids there) and
+plays no part in the geometry.  Callers keep the slope order; the
+backends do not check it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import Optional
 
 _NODE_ALLOCS = 0  # instrumentation for the complexity smoke test
@@ -45,9 +53,18 @@ def node_allocations() -> int:
     return _NODE_ALLOCS
 
 
-def _isect(l1, l2) -> Fraction:
-    # tau where the two lines meet; slopes must differ
-    return Fraction(l2[1] - l1[1], l1[0] - l2[0])
+def _isect(l1, l2):
+    # the time (p, q) where l1 meets l2; l1's slope is the larger, so q > 0
+    return l2[1] - l1[1], l1[0] - l2[0]
+
+
+def _lt(s, t) -> bool:
+    return s[0] * t[1] < t[0] * s[1]
+
+
+def _at(line, t) -> int:
+    # q * line(p/q) for t = (p, q): the sign of the line's value there
+    return line[0] * t[0] + line[1] * t[1]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +143,7 @@ def _e_split_start_lt(n: Optional[_E], t, pred):
     n = _e_force(n)
     own = (n.a, n.b)
     own_pred = _true_last(n.left) if n.left else pred
-    starts_before = own_pred is None or _isect(own_pred, own) < t
+    starts_before = own_pred is None or _lt(_isect(own_pred, own), t)
     if starts_before:
         ra, rb = _e_split_start_lt(n.right, t, own)
         return _E(n.prio, n.left, ra, n.a, n.b, 0, 0), rb
@@ -141,7 +158,7 @@ def _e_split_end_gt(n: Optional[_E], t, succ):
     n = _e_force(n)
     own = (n.a, n.b)
     own_succ = _true_first(n.right) if n.right else succ
-    ends_after = own_succ is None or _isect(own, own_succ) > t
+    ends_after = own_succ is None or _lt(t, _isect(own, own_succ))
     if ends_after:
         la, lb = _e_split_end_gt(n.left, t, own)
         return la, _E(n.prio, lb, n.right, n.a, n.b, 0, 0)
@@ -156,7 +173,8 @@ def _e_drop_last(n: _E) -> Optional[_E]:
     return _E(n.prio, n.left, _e_drop_last(n.right), n.a, n.b, 0, 0)
 
 
-def _e_value(n: _E, tau) -> Fraction:
+def _e_line(n: _E, t):
+    """The true line of the envelope piece active at time t."""
     acc_a = acc_b = 0
     while True:
         acc_a += n.fa
@@ -166,25 +184,26 @@ def _e_value(n: _E, tau) -> Fraction:
             ll = n.left.last
             boundary = _isect((ll[0] + n.left.fa + acc_a, ll[1] + n.left.fb + acc_b),
                               own)
-            if tau < boundary:
+            if _lt(t, boundary):
                 n = n.left
                 continue
         if n.right is not None:
             rf = n.right.first
             boundary = _isect(own, (rf[0] + n.right.fa + acc_a,
                                     rf[1] + n.right.fb + acc_b))
-            if tau >= boundary:
+            if not _lt(t, boundary):
                 n = n.right
                 continue
-        return own[0] * tau + own[1]
+        return own
 
 
 def _e_walk_flip(root: _E, h_of):
     """Locate the envelope piece on which a non-increasing h crosses 0.
 
-    ``h_of(line, tau)`` evaluates h at tau given the true line active
-    there.  The caller guarantees h > 0 towards -infinity and h <= 0
-    towards +infinity, so a flip piece exists.  Returns the true line.
+    ``h_of(line, t)`` gives a number with the sign of h at time t, given
+    the true line active there.  The caller guarantees h > 0 towards
+    -infinity and h <= 0 towards +infinity, so a flip piece exists.
+    Returns the true line.
     """
     node = root
     acc_a = acc_b = 0
@@ -236,10 +255,9 @@ def _e_merge(ea: Optional[_E], eb: Optional[_E]) -> Optional[_E]:
     if d == 0 and a_last[1] - b_last[1] > 0:
         return eb  # ea never reaches eb
     # finite crossing: find the active pieces on both sides, then solve
-    line_b = _e_walk_flip(eb, lambda own, t: _e_value(ea, t) - (own[0] * t + own[1]))
-    line_a = _e_walk_flip(ea, lambda own, t: (own[0] * t + own[1])
-                          - (line_b[0] * t + line_b[1]))
-    t_cross = _isect(line_a, line_b)
+    line_b = _e_walk_flip(eb, lambda own, t: _at(_e_line(ea, t), t) - _at(own, t))
+    line_a = _e_walk_flip(ea, lambda own, t: _at(own, t) - _at(line_b, t))
+    t_cross = _isect(line_b, line_a)
     keep_b, _ = _e_split_start_lt(eb, t_cross, None)
     _, keep_a = _e_split_end_gt(ea, t_cross, None)
     if keep_b is not None and keep_a is not None:
@@ -369,44 +387,45 @@ class TreeEnvelope:
             return None
         return _e_shift(self._root.env, self._root.fa, self._root.fb)
 
-    def value_at(self, tau) -> Fraction:
+    def value_at(self, tau):
         env = self._env()
         if env is None:
             raise ValueError("envelope is empty")
-        return _e_value(env, tau)
+        a, b = _e_line(env, (tau.numerator, tau.denominator))
+        return a * tau + b
 
     def root_piece(self, p0: int, q0: int):
-        """First tau >= p0/q0 with g(tau) <= 0, as (p, q, tag) with the tag
-        of the first line, in position order, at or below zero there; None
-        when no such tau."""
+        """First tau >= p0/q0 (q0 > 0) with g(tau) <= 0, as (p, q, tag)
+        with the tag of the first line, in position order, at or below zero
+        there; None when no such tau."""
         env = self._env()
         if env is None:
             return None
-        tau0 = p0 if q0 == 1 else Fraction(p0, q0)
-        if _e_value(env, tau0) > 0:
-            # g is concave and positive at tau0: it changes sign once after
-            # tau0 if its last piece falls, and never otherwise
+        t0 = (p0, q0)
+        if _at(_e_line(env, t0), t0) > 0:
+            # g is concave and positive at t0: it changes sign once after
+            # t0 if its last piece falls, and never otherwise
             if _true_last(env)[0] >= 0:
                 return None
-            a, b = _e_walk_flip(env, lambda own, t: 1 if t <= tau0
-                                else own[0] * t + own[1])
-            tau0 = Fraction(-b, a)
-        tag = self._first_tag_at_or_below_zero(tau0)
-        return tau0.numerator, tau0.denominator, tag
+            a, b = _e_walk_flip(env, lambda own, t: 1 if not _lt(t0, t)
+                                else _at(own, t))
+            g = math.gcd(b, a)  # the root -b/a, with a < 0
+            p0, q0 = b // g, -a // g
+        return p0, q0, self._first_tag_at_or_below_zero((p0, q0))
 
-    def _first_tag_at_or_below_zero(self, tau):
-        # the first position whose subtree envelope is <= 0 at tau; the
-        # caller guarantees that g(tau) <= 0
+    def _first_tag_at_or_below_zero(self, t):
+        # the first position whose subtree envelope is <= 0 at time t; the
+        # caller guarantees that g(t) <= 0
         n = self._root
         acc_a = acc_b = 0
         while True:
             acc_a += n.fa
             acc_b += n.fb
             left = n.left
-            if left is not None and _e_value(left.env, tau) + (
-                    (acc_a + left.fa) * tau + acc_b + left.fb) <= 0:
+            if left is not None and _at(_e_line(left.env, t), t) + _at(
+                    (acc_a + left.fa, acc_b + left.fb), t) <= 0:
                 n = left
-            elif (n.a + acc_a) * tau + n.b + acc_b <= 0:
+            elif _at((n.a + acc_a, n.b + acc_b), t) <= 0:
                 return n.tag
             else:
                 n = n.right
@@ -461,10 +480,12 @@ class NaiveEnvelope:
     def __len__(self):
         return len(self._lines)
 
-    def value_at(self, tau) -> Fraction:
+    def value_at(self, tau):
         if not self._lines:
             raise ValueError("envelope is empty")
-        return min(a * tau + b for a, b, _ in self._lines)
+        t = (tau.numerator, tau.denominator)
+        a, b, _ = min(self._lines, key=lambda line: _at(line, t))
+        return a * tau + b
 
     def root_piece(self, p0: int, q0: int):
         # A line above zero at t0 comes down to zero after it only if it

@@ -303,8 +303,7 @@ class _Sweep:
                 continue  # stale: the run was rescheduled since
             if key != prev_key:
                 if pieces is not None:
-                    pieces.append((Fraction(prev_p, prev_q), Fraction(p, q),
-                                   self.fs, self.fi))
+                    pieces.append((prev_p, prev_q, p, q, self.fs, self.fi))
                 if self.check:
                     self._verify_runs((prev_p * q + p * prev_q) // (2 * prev_q * q))
                 prev_key, prev_p, prev_q = key, p, q
@@ -372,8 +371,9 @@ def emdut_1d_sweep(
     result = (Fraction(best_num, den), Fraction(best_p, den), tuple(assignment))
     if return_stats:
         descaled = None if pieces is None else [
-            (Fraction(lo, denom), Fraction(hi, denom), fs, Fraction(fi, denom))
-            for lo, hi, fs, fi in pieces]
+            (Fraction(lo_p, lo_q * denom), Fraction(hi_p, hi_q * denom), fs,
+             Fraction(fi, denom))
+            for lo_p, lo_q, hi_p, hi_q, fs, fi in pieces]
         stats = SweepStats(sweep.events, sweep.align_events, sweep.move_events,
                            descaled, sweep.move_log)
         return (*result, stats)

@@ -146,6 +146,8 @@ def test_float_filtered_heap_keys_stay_exact(base):
     # near +-10**400 the float keys overflow to +-inf; near 2**70 distinct
     # keys round to the same float.  Either way the exact times must decide.
     # Some reds stay near 0, so filtered and plain float keys share a heap.
+    # The tree sees the same magnitudes and must return the same, event log
+    # and pieces included.
     rng = random.Random(base % 1009)
     for _ in range(200):
         m = rng.randint(1, 5)
@@ -155,9 +157,9 @@ def test_float_filtered_heap_keys_stay_exact(base):
         R = point_set_1d(
             [rng.choice([0, base]) + F(rng.randint(-12, 12), den) for _ in range(n)]
         )
-        value, tau, phi, stats = emdut_1d_sweep(
-            B, R, check=True, collect_pieces=True, return_stats=True
-        )
+        naive, tree = _both_backends(B, R, check=True)
+        assert naive == tree, (B, R)
+        value, tau, phi, stats = naive
         assert value == emdut_1d_alignment_oracle(B, R)
         cost = sum(abs(B.points[j][0] + tau - R.points[phi[j]][0]) for j in range(m))
         assert cost == value
