@@ -190,18 +190,21 @@ def _cmd_gen(args) -> int:
     blue_path = f"{prefix}_blue.txt"
     red_path = f"{prefix}_red.txt"
     meta_path = f"{prefix}_meta.json"
-    with open(blue_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_point_set(gi.blue))
-    with open(red_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_point_set(gi.red))
     sidecar = {
         "lambda": format_scalar(gi.lam),
         "metric": gi.metric.value,
         "params": _meta_json(gi.meta),
     }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(blue_path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_point_set(gi.blue))
+        with open(red_path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_point_set(gi.red))
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"{exc.filename or prefix}: {exc.strerror or exc}") from exc
     _emit({"blue": blue_path, "red": red_path, "meta": meta_path,
            "points": [len(gi.blue), len(gi.red)]})
     return EXIT_OK

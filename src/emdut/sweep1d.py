@@ -46,8 +46,8 @@ from .emd import _monotone_rows, _sorted_frame
 from .envelope import NaiveEnvelope, TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
-# The list envelope beats the tree at every measured run size (m = 65..400);
-# the tree stays as a differential reference.
+# The list envelope beats the blocked tree at every measured run size
+# (m = 65..400); the tree stays as a differential reference.
 _ENVELOPES = {"naive": NaiveEnvelope, "tree": TreeEnvelope}
 
 
@@ -339,8 +339,8 @@ def emdut_1d_sweep(
     Returns (value, tau, matching) where tau is the smallest optimal
     translation; with ``return_stats=True`` a :class:`SweepStats` is
     appended.  ``envelope`` picks the run envelope: ``naive`` runs the
-    list, ``tree`` the balanced tree.  ``check`` enables internal
-    invariant assertions.
+    list, ``tree`` the blocks of static envelopes.  ``check`` enables
+    internal invariant assertions.
     """
     envelope_cls = _ENVELOPES.get(envelope)
     if envelope_cls is None:

@@ -113,7 +113,7 @@ def test_criterion_04_envelope_tree_equals_reference():
     rng = random.Random(0xACCE04)
     for seq in range(sequences):
         naive = NaiveEnvelope()
-        tree = TreeEnvelope(seed=seq)
+        tree = TreeEnvelope()
         k = 0
         for op in range(rng.randint(10, 200)):
             action = rng.random()

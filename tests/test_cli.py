@@ -271,6 +271,20 @@ def test_gen_ov_files_and_sidecar(capsys, tmp_path):
     assert listing["points"] == [len(blue), len(red)]
 
 
+def test_gen_into_a_missing_or_unwritable_path_exits_2_naming_it(capsys, tmp_path):
+    xf = tmp_path / "X.txt"
+    xf.write_text("1 0\n0 1\n")
+    (tmp_path / "d_red.txt").mkdir()  # the red file's path is taken
+    for prefix, bad in ((tmp_path / "missing" / "ov", "_blue.txt"),
+                        (tmp_path / "d", "_red.txt")):
+        code, out, err = run(
+            capsys, ["gen", "ov", "--vectors", str(xf), str(xf),
+                     "--out-prefix", str(prefix)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {prefix}{bad}: ") and err.count("\n") == 1
+
+
 def test_gen_clique_files(capsys, tmp_path):
     gf = tmp_path / "G.txt"
     gf.write_text("3\n1 2\n1 3\n2 3\n")

@@ -109,8 +109,10 @@ def test_sweep_tree_envelope_agrees_with_naive():
 
 
 def test_sweep_backends_agree_at_auto_cutoff_scale():
-    # runs of more than 64 blues: the tree and the list give the same answer
-    # and the same event log
+    # the name recalls a size cutoff between the backends that is gone (the
+    # sweep runs the list at every size); runs of up to 80 blues still put
+    # the tree on several blocks, and it must give the same answer and the
+    # same event log as the list
     rng = random.Random(808)
     B = point_set_1d([rng.randint(-500, 500) for _ in range(80)])
     R = point_set_1d([rng.randint(-500, 500) for _ in range(120)])
