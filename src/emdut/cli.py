@@ -75,8 +75,6 @@ def _cmd_solve(args) -> int:
     if args.solver == "emd":
         metric = Metric.parse(args.metric)
         if args.algorithm == "monotone":
-            if blue.dim != 1:
-                raise InputError("--algorithm monotone requires 1D inputs")
             value, phi = emd_1d_monotone(blue, red)
         elif args.algorithm == "bruteforce":
             value = emd_bruteforce(blue, red, metric)
@@ -85,8 +83,6 @@ def _cmd_solve(args) -> int:
             value, phi = emd_hungarian(blue, red, metric)
         algorithm = args.algorithm
     elif args.solver == "emdut1d":
-        if blue.dim != 1 or red.dim != 1:
-            raise InputError("emdut1d requires 1-dimensional point sets")
         if args.algorithm == "symmetric":
             value, tau, phi = emdut_1d_symmetric(blue, red)
             translation = (tau,)

@@ -106,6 +106,7 @@ class PointSet:
         return iter(self.points)
 
     def translate(self, tau: Sequence[Fraction]) -> "PointSet":
+        tau = point(tau)  # a float raises TypeError, as in ``scalar``
         if len(tau) != self.dim:
             raise ValueError("translation dimension mismatch")
         return PointSet(

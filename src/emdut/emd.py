@@ -13,18 +13,23 @@ injective blue-to-red matching):
   augmenting paths with exact integer potentials.
 * ``emd_bruteforce``   -- factorial enumeration, the test oracle.
 
-Every cost matrix, here and in the translation solvers, comes from
-:func:`_cost_matrix`, a fold over the axes of :func:`_add_axis`, which
-adds one axis's distances to the rows (L1) or takes their maximum with
-it (Linf).  The grid walk of the translation solver keeps the folded
-rows of each axis prefix, so a new translation folds in only its last
-axis.  Rationals become integers only in :func:`_as_int_matrix`: each
-solve, 1D or not, scales its points (with the translation, if any) once
-by the lcm of their denominators, so every DP row and every Hungarian
-cost matrix is built from ints.  The lexicographically smallest optimal
-witness comes from that same single solve: :func:`_lex_min_assignment`
-appends the assignment, read as a base-n number, below the lowest digit
-of the integer cost.
+Every solver of the package, here and in the translation and 1D
+modules, shares three helpers.  :func:`_pair_sizes` is the one
+contract: both sets have one dimension (1 for the 1D routines) and
+|B| <= |R|.  :func:`_frame` is the one frame: rationals become integers
+only in :func:`_as_int_matrix`, and each solve scales its points, with
+any translations, once by the lcm of their denominators, so every DP
+row and every cost matrix is built from ints.  :func:`_assignment_value`
+is the one value solve of an integer cost matrix.
+
+Every cost matrix comes from :func:`_cost_matrix`, a fold over the axes
+of :func:`_add_axis`, which adds one axis's distances to the rows (L1)
+or takes their maximum with it (Linf).  The grid walk of the
+translation solver keeps the folded rows of each axis prefix, so a new
+translation folds in only its last axis.  The lexicographically
+smallest optimal witness comes from a single solve too:
+:func:`_lex_min_assignment` appends the assignment, read as a base-n
+number, below the lowest digit of the integer cost.
 
 The Hungarian solver also returns its column potentials, all <= 0.  With
 them, :func:`_dual_bound` gives a lower bound on the optimum of any other
@@ -44,19 +49,47 @@ from .core import Matching, Metric, PointSet
 _INF = float("inf")  # comparison-only sentinel; never mixed into results
 
 
+def _pair_sizes(blue: PointSet, red: PointSet, dim: int | None = None) -> tuple[int, int]:
+    """(|B|, |R|) once the input meets the contract every solver shares.
+
+    Both sets have one dimension, ``dim`` when it is given, and
+    |B| <= |R|; each failure raises ``ValueError`` in one wording.
+    """
+    if blue.dim != red.dim:
+        raise ValueError(f"blue and red dimension mismatch: {blue.dim} vs {red.dim}")
+    if dim is not None and blue.dim != dim:
+        raise ValueError(f"{dim}-dimensional point sets required, got {blue.dim}")
+    m, n = len(blue), len(red)
+    if m > n:
+        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    return m, n
+
+
+def _frame(blue: PointSet, red: PointSet, *extra):
+    """(bs, rs, extra, den): the points and ``extra`` rows on one integer frame.
+
+    One :func:`_as_int_matrix` call scales the points and the extra rows
+    (translations) together, so frame distances are the true ones times
+    ``den``.
+    """
+    ints, den = _as_int_matrix(blue.points + red.points + extra)
+    m, mn = len(blue), len(blue) + len(red)
+    return ints[:m], ints[m:mn], ints[mn:], den
+
+
 def _sorted_frame(blue: PointSet, red: PointSet):
     """(bs, rs, border, rorder, den): 1D points on one integer frame, sorted.
 
-    ``bs`` and ``rs`` are the scaled coordinates of ``_as_int_matrix`` in
+    ``bs`` and ``rs`` are the scaled coordinates of :func:`_frame` in
     stable sorted order (equal coordinates keep index order); ``border``
     and ``rorder`` map sorted positions back to the original indices.
     """
-    ints, den = _as_int_matrix(blue.points + red.points)
-    xs = [p[0] for p in ints]
-    m = len(blue)
-    border = sorted(range(m), key=xs.__getitem__)
-    rorder = sorted(range(len(red)), key=xs[m:].__getitem__)
-    return [xs[i] for i in border], [xs[m + j] for j in rorder], border, rorder, den
+    bs, rs, _, den = _frame(blue, red)
+    bx = [p[0] for p in bs]
+    rx = [p[0] for p in rs]
+    border = sorted(range(len(bx)), key=bx.__getitem__)
+    rorder = sorted(range(len(rx)), key=rx.__getitem__)
+    return [bx[i] for i in border], [rx[j] for j in rorder], border, rorder, den
 
 
 def _monotone_rows(bs: Sequence[int], rs: Sequence[int], shift: int = 0) -> list[list[int]]:
@@ -90,11 +123,7 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
     lexicographically smallest monotone matching (in sorted order).  The
     returned matching is expressed over the original indices.
     """
-    if blue.dim != 1 or red.dim != 1:
-        raise ValueError("emd_1d_monotone requires 1-dimensional point sets")
-    m, n = len(blue), len(red)
-    if m > n:
-        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    m, _ = _pair_sizes(blue, red, 1)
     if m == 0:
         return Fraction(0), ()
     bs, rs, border, rorder, den = _sorted_frame(blue, red)
@@ -172,6 +201,14 @@ def _min_cost_assignment(
         if match_row[j]:
             assignment[match_row[j] - 1] = j - 1
     return sum(cost[i][assignment[i]] for i in range(m)), assignment, v[1:]
+
+
+def _assignment_value(cost: Sequence[Sequence[int]]) -> int:
+    """The optimal total of an integer cost matrix with at most as many rows
+    as columns; a single row needs no solve."""
+    if len(cost) == 1:
+        return min(cost[0])
+    return _min_cost_assignment(cost)[0]
 
 
 def _dual_bound(cost: Sequence[Sequence[int]], v: Sequence[int]) -> int:
@@ -252,25 +289,17 @@ def emd_hungarian(
     equal-cost matchings the lexicographically smallest assignment list
     is returned.
     """
-    if blue.dim != red.dim:
-        raise ValueError("blue and red dimension mismatch")
-    m, n = len(blue), len(red)
-    if m > n:
-        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    m, _ = _pair_sizes(blue, red)
     if m == 0:
         return Fraction(0), ()
-    ints, den = _as_int_matrix(blue.points + red.points)
-    total, assignment = _lex_min_assignment(_cost_matrix(ints[:m], ints[m:], metric))
+    bs, rs, _, den = _frame(blue, red)
+    total, assignment = _lex_min_assignment(_cost_matrix(bs, rs, metric))
     return Fraction(total, den), tuple(assignment)
 
 
 def emd_bruteforce(blue: PointSet, red: PointSet, metric: Metric) -> Fraction:
     """Minimum over all injections, at tau = 0.  Guarded to |R| <= 8."""
-    if blue.dim != red.dim:
-        raise ValueError("blue and red dimension mismatch")
-    m, n = len(blue), len(red)
-    if m > n:
-        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    m, n = _pair_sizes(blue, red)
     if n > 8:
         raise ValueError(f"|R| = {n} exceeds the brute-force guard of 8")
     if m == 0:

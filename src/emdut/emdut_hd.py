@@ -41,16 +41,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Metric, Point, PointSet, _int_str, zero_point
+from .core import Metric, Point, PointSet, _int_str, point, zero_point
 from .emd import (
     _add_axis,
-    _as_int_matrix,
+    _assignment_value,
     _cost_matrix,
     _dual_bound,
+    _frame,
     _lex_min_assignment,
     _min_cost_assignment,
     _monotone_rows,
+    _pair_sizes,
 )
+# _as_int_matrix is unused here but kept importable: the benchmark's tracer
+# patches ``emdut.emdut_hd._as_int_matrix`` by name.
+from .emd import _as_int_matrix  # noqa: F401
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -97,8 +102,7 @@ def hyperplanes_linf(blue: PointSet, red: PointSet) -> list[Hyperplane]:
     |b_j + tau_j - r_j| contribute tau_i - tau_j = (r_i-b_i)-(r_j-b_j)
     and tau_i + tau_j = (r_i-b_i)+(r_j-b_j).
     """
-    if blue.dim != red.dim:
-        raise ValueError("dimension mismatch")
+    _pair_sizes(blue, red)
     d = blue.dim
     planes = []
     for i, j, sign, offsets in _linf_families(blue, red):
@@ -149,13 +153,13 @@ def _grid_frame(blue: PointSet, red: PointSet, metric: Metric):
     Frame L1 distances are the metric's distances times ``den``.  Planar
     Linf is rotated to (x+y, x-y), which doubles distances and so ``den``.
     """
-    ints, den = _as_int_matrix(blue.points + red.points)
+    bs, rs, _, den = _frame(blue, red)
     rotated = metric is Metric.LINF and blue.dim == 2
     if rotated:
-        ints = [(x + y, x - y) for x, y in ints]
+        bs = [(x + y, x - y) for x, y in bs]
+        rs = [(x + y, x - y) for x, y in rs]
         den *= 2
-    m = len(blue)
-    return ints[:m], ints[m:], den, rotated
+    return bs, rs, den, rotated
 
 
 def _grid_offsets(bs, rs, budget: int) -> tuple[list[list[int]], int]:
@@ -239,11 +243,10 @@ def candidate_translations(
     coordinates; the solver walks it lazily and evaluates only the part
     its lower bound cannot rule out.
     """
-    if blue.dim != red.dim:
-        raise ValueError("dimension mismatch")
-    d = blue.dim
-    if len(blue) == 0 or len(red) == 0:
+    m, _ = _pair_sizes(blue, red)
+    if m == 0:
         return ()
+    d = blue.dim
     if metric is Metric.L1 or d <= 2:
         bs, rs, den, rotated = _grid_frame(blue, red, metric)
         offsets, _ = _grid_offsets(bs, rs, budget)
@@ -267,21 +270,18 @@ def candidate_translations(
 
 
 def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction:
-    """Exact EMD of (B + tau, R), solved in the integer frame of B, R and tau."""
-    if blue.dim != red.dim:
-        raise ValueError("blue and red dimension mismatch")
-    m, n = len(blue), len(red)
-    if m > n:
-        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    """Exact EMD of (B + tau, R), solved in the integer frame of B, R and tau.
+
+    ``tau`` is coerced like any coordinate, so a float raises ``TypeError``.
+    """
+    m, _ = _pair_sizes(blue, red)
+    tau = point(tau)
     if len(tau) != blue.dim:
         raise ValueError(f"translation has {len(tau)} coordinates, expected {blue.dim}")
     if m == 0:
         return Fraction(0)
-    ints, den = _as_int_matrix(blue.points + red.points + (tau,))
-    rows = _cost_matrix(ints[:m], ints[m:-1], metric, ints[-1])
-    if m == 1:
-        return Fraction(min(rows[0]), den)
-    return Fraction(_min_cost_assignment(rows)[0], den)
+    bs, rs, (t,), den = _frame(blue, red, tau)
+    return Fraction(_assignment_value(_cost_matrix(bs, rs, metric, t)), den)
 
 
 def emdut_hd(
@@ -298,11 +298,7 @@ def emdut_hd(
     Returns (value, tau, matching); with ``return_stats=True`` the number
     of candidate translations and the number evaluated are appended.
     """
-    if blue.dim != red.dim:
-        raise ValueError("dimension mismatch")
-    m, n = len(blue), len(red)
-    if m > n:
-        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    m, _ = _pair_sizes(blue, red)
     d = blue.dim
     if m == 0:
         out = Fraction(0), zero_point(d), ()
@@ -317,10 +313,9 @@ def emdut_hd(
         candidates = evaluated = len(vertices)
         # one frame for the points and every vertex: den > 0, so the smallest
         # (frame cost, frame tau) is the smallest (cost, tau)
-        ints, den = _as_int_matrix(blue.points + red.points + vertices)
-        bs, rs = ints[:m], ints[m:m + n]
-        tau = frame_tau = min(ints[m + n:], key=lambda t: (
-            _min_cost_assignment(_cost_matrix(bs, rs, metric, t))[0], t))
+        bs, rs, frame_vertices, den = _frame(blue, red, *vertices)
+        tau = frame_tau = min(frame_vertices, key=lambda t: (
+            _assignment_value(_cost_matrix(bs, rs, metric, t)), t))
         frame_metric = metric
     best_tau = tuple(Fraction(c, den) for c in tau)
     # frame costs are den times the metric's: same witness, value total/den

@@ -13,7 +13,9 @@ or exceeds it by at least 1 (no-instances):
 Each generator returns a :class:`GadgetInstance` carrying the combined
 point sets, the exact threshold, the unshifted gadget list, and every
 construction constant, so tests can recompute the threshold
-independently.  The decisions compare the EMDuT with the threshold:
+independently.  A clique generator counts its coordinates from k and
+|E| first and refuses more than ``CLIQUE_COORD_GUARD`` of them.  The
+decisions compare the EMDuT with the threshold:
 the 1D sweep solves OV instances, and :func:`emdut_hd` the combined L1
 clique instances.  ``linf-sym`` is beyond the solver, so its value is
 the witness-grid minimum of the summed gadget costs: >= lam + 1 on
@@ -29,11 +31,17 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Metric, PointSet, point_set, point_set_1d
-from .emd import _as_int_matrix, _cost_matrix, _min_cost_assignment
+from .emd import _as_int_matrix, _assignment_value, _cost_matrix
+# _min_cost_assignment is unused here but kept importable: the benchmark's
+# tracer patches ``emdut.hardness._min_cost_assignment`` by name.
+from .emd import _min_cost_assignment  # noqa: F401
 from .emdut_hd import emdut_hd
 from .sweep1d import emdut_1d_sweep
 
 OV_PAIR_GUARD = 4_000_000  # max |B|*|R| the 1D decision procedure accepts
+# max coordinates (points times d) a clique generator writes; the output
+# grows as k^3 * |E|, so a small graph with a large k would run for hours
+CLIQUE_COORD_GUARD = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -304,6 +312,16 @@ def _edge_point(d: int, i: int, j: int, u: int, v: int, b: int,
     return tuple(coords)
 
 
+def _check_clique_size(points: int, d: int) -> None:
+    """Refuse an instance of more than ``CLIQUE_COORD_GUARD`` coordinates
+    before any gadget is built."""
+    if points * d > CLIQUE_COORD_GUARD:
+        raise ValueError(
+            f"instance with {points} points in dimension {d} has {points * d} "
+            f"coordinates, exceeding the generator guard of {CLIQUE_COORD_GUARD}"
+        )
+
+
 def clique_l1_asym(g: Graph, k: int) -> GadgetInstance:
     """L1 instance in dimension k: one blue origin point per coordinate pair,
     red points at the edge grid, plus a mirrored copy pinning the free
@@ -313,6 +331,8 @@ def clique_l1_asym(g: Graph, k: int) -> GadgetInstance:
     if not g.edges:
         raise ValueError("graph has no edges; every decision is trivially no")
     d = k
+    # two parts per coordinate pair: one origin blue and a red per edge
+    _check_clique_size(2 * math.comb(k, 2) * (1 + len(g.edges)), d)
     n_nodes = g.n_nodes
     origin = [tuple([0] * d)]
     parts = []
@@ -342,6 +362,8 @@ def clique_l1_sym(g: Graph, k: int) -> GadgetInstance:
     d = 2 * k
     n_nodes = g.n_nodes
     m_edges = len(g.edges)
+    # two parts per coordinate pair, each |E| blues and |E| reds
+    _check_clique_size(4 * math.comb(k, 2) * m_edges, d)
     parts = []
     for i, j in itertools.combinations(range(1, k + 1), 2):
         q = [0] * d
@@ -376,6 +398,9 @@ def clique_linf_sym(g: Graph, k: int) -> GadgetInstance:
     d = 2 * k + 1
     n_nodes = g.n_nodes
     m_edges = len(g.edges)
+    # 4(k-1) two-point tethers per coordinate, then two parts per
+    # coordinate pair, each |E| blues and |E| reds
+    _check_clique_size(8 * k * (k - 1) + 4 * math.comb(k, 2) * m_edges, d)
     big = 10 * n_nodes
     parts = []
     origin = [tuple([0] * d)]
@@ -427,13 +452,6 @@ def clique_instance(g: Graph, k: int, variant: str) -> GadgetInstance:
 # ---------------------------------------------------------------------------
 
 
-def _part_emd(blues, reds, metric: Metric, tau) -> int:
-    rows = _cost_matrix(blues, reds, metric, tau)
-    if len(rows) == 1:
-        return min(rows[0])
-    return _min_cost_assignment(rows)[0]
-
-
 def decomposed_value(
     parts: Sequence[tuple[PointSet, PointSet]],
     metric: Metric,
@@ -446,16 +464,16 @@ def decomposed_value(
     candidates share one integer frame.  Candidates whose partial sum
     already exceeds the best so far are abandoned early.
     """
-    ints, den = _as_int_matrix([p for b, r in parts for p in b.points + r.points])
+    ints, den = _as_int_matrix(
+        [p for b, r in parts for p in b.points + r.points] + list(candidates))
     rows = iter(ints)
     packed = [(list(itertools.islice(rows, len(b))), list(itertools.islice(rows, len(r))))
               for b, r in parts]
     best = None
-    for tau in candidates:
-        tau = [t * den for t in tau]
+    for tau in rows:  # the candidates, after every part's points
         total = 0
         for blues, reds in packed:
-            total += _part_emd(blues, reds, metric, tau)
+            total += _assignment_value(_cost_matrix(blues, reds, metric, tau))
             if best is not None and total > best:
                 break
         else:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import PointSet
-from .emd import _monotone_rows, _sorted_frame
+from .emd import _monotone_rows, _pair_sizes, _sorted_frame
 from .envelope import NaiveEnvelope, TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
@@ -66,11 +66,9 @@ def emdut_1d_symmetric(blue: PointSet, red: PointSet):
     sorted pairwise differences, which is also the smallest optimal
     translation.
     """
-    if blue.dim != 1 or red.dim != 1:
-        raise ValueError("1-dimensional point sets required")
-    if len(blue) != len(red):
-        raise ValueError(f"size mismatch: |B| = {len(blue)}, |R| = {len(red)}")
-    n = len(blue)
+    m, n = _pair_sizes(blue, red, 1)
+    if m != n:
+        raise ValueError(f"size mismatch: |B| = {m}, |R| = {n}")
     if n == 0:
         return Fraction(0), Fraction(0), ()
     bs, rs, border, rorder, den = _sorted_frame(blue, red)
@@ -91,11 +89,7 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
     some optimal translation aligns at least one pair.  Minimizing the
     1D EMD over all pairwise differences is therefore exact.
     """
-    if blue.dim != 1 or red.dim != 1:
-        raise ValueError("1-dimensional point sets required")
-    m, n = len(blue), len(red)
-    if m > n:
-        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    m, n = _pair_sizes(blue, red, 1)
     if m * n > ORACLE_PAIR_LIMIT:
         raise ValueError(
             f"|B|*|R| = {m * n} exceeds the oracle guard of {ORACLE_PAIR_LIMIT}"
@@ -348,11 +342,7 @@ def emdut_1d_sweep(
             f"unknown envelope kind {envelope!r}; expected one of "
             + ", ".join(_ENVELOPES)
         )
-    if blue.dim != 1 or red.dim != 1:
-        raise ValueError("1-dimensional point sets required")
-    m, n = len(blue), len(red)
-    if m > n:
-        raise ValueError(f"|B| = {m} exceeds |R| = {n}")
+    m, _ = _pair_sizes(blue, red, 1)
     if m == 0:
         out = Fraction(0), Fraction(0), ()
         if return_stats:

@@ -136,6 +136,18 @@ def test_exit_codes(capsys, files, tmp_path):
         ["solve", "emdut1d", "--blue", str(blue), "--red", str(red), "--algorithm", "symmetric"],
     )
     assert code == 2
+    # 1D routines given planar sets exit 2 with the library's wording
+    pb = tmp_path / "pb.txt"
+    pr = tmp_path / "pr.txt"
+    pb.write_text("2\n0 0\n")
+    pr.write_text("2\n0 1\n1 3\n")
+    for argv in (["emdut1d"], ["emdut1d", "--algorithm", "symmetric"],
+                 ["emdut1d", "--algorithm", "oracle"], ["emd", "--algorithm", "monotone"]):
+        code, out, err = run(
+            capsys, ["solve", *argv, "--blue", str(pb), "--red", str(pr)]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 1-dimensional point sets required, got 2\n"
     # tiny budget exhausts on Linf candidate enumeration
     b2 = tmp_path / "bb.txt"
     r2 = tmp_path / "rr.txt"
@@ -165,6 +177,26 @@ def test_huge_exponent_exits_2_naming_the_line(tmp_path):
     )
     assert proc.returncode == 2 and "line 2" in proc.stderr
     assert time.perf_counter() - t0 < 10
+
+
+def test_gen_clique_past_the_size_guard_exits_2_at_once(tmp_path):
+    # Child processes with a timeout, so that a generator that builds the
+    # whole instance (minutes and gigabytes) fails on the timeout instead.
+    graph = tmp_path / "g.txt"
+    graph.write_text("3\n1 2\n2 3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(emdut.__file__).parents[1]))
+    # 3-node path, k = 120: points * d for each variant
+    for variant, coords in (("l1-asym", 5_140_800), ("l1-sym", 13_708_800),
+                            ("linf-sym", 41_297_760)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "emdut.cli", "gen", "clique", "--variant", variant,
+             "--k", "120", "--graph", str(graph), "--out-prefix", str(tmp_path / "c")],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"has {coords} coordinates" in proc.stderr
+        assert "generator guard of 4000000" in proc.stderr
+    assert not list(tmp_path.glob("c_*"))
 
 
 def test_grid_walk_runs_in_1500_dimensions(capsys, tmp_path):

@@ -113,6 +113,11 @@ def test_point_set_validation_and_immutability():
     ps = point_set_1d([1, 2])
     with pytest.raises(Exception):
         ps.dim = 3
+    # a float translation is rejected like a float coordinate, not kept
+    with pytest.raises(TypeError):
+        ps.translate((0.1,))
+    with pytest.raises(TypeError):
+        point_set(2, [(1, 2)]).translate((F(1, 2), 0.5))
 
 
 @pytest.mark.parametrize(

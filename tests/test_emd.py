@@ -12,6 +12,13 @@ from emdut.emd import (
     emd_bruteforce,
     emd_hungarian,
 )
+from emdut.emdut_hd import (
+    candidate_translations,
+    emd_value_at,
+    emdut_hd,
+    hyperplanes_linf,
+)
+from emdut.sweep1d import emdut_1d_alignment_oracle, emdut_1d_sweep, emdut_1d_symmetric
 
 from conftest import huge_lcm_points, rand_ints_1d, rand_points
 
@@ -214,3 +221,34 @@ def test_column_potentials_bound_every_matrix_of_their_shape():
         assert bound <= optimum
         tight += bound == optimum
     assert tight > 300
+
+
+# name -> (solve(B, R), whether the routine is 1D only)
+_ENTRY_POINTS = {
+    "emd_1d_monotone": (emd_1d_monotone, True),
+    "emd_hungarian": (lambda B, R: emd_hungarian(B, R, Metric.L1), False),
+    "emd_bruteforce": (lambda B, R: emd_bruteforce(B, R, Metric.LINF), False),
+    "emd_value_at": (lambda B, R: emd_value_at(B, R, Metric.L1, (0,) * B.dim), False),
+    "emdut_hd": (lambda B, R: emdut_hd(B, R, Metric.LINF), False),
+    "candidate_translations": (
+        lambda B, R: candidate_translations(B, R, Metric.LINF), False),
+    "hyperplanes_linf": (hyperplanes_linf, False),
+    "emdut_1d_symmetric": (emdut_1d_symmetric, True),
+    "emdut_1d_alignment_oracle": (emdut_1d_alignment_oracle, True),
+    "emdut_1d_sweep": (emdut_1d_sweep, True),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_every_solver_checks_one_contract_in_one_wording(name):
+    solve, one_d = _ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=r"^blue and red dimension mismatch: 1 vs 2$"):
+        solve(point_set_1d([0]), point_set(2, [(0, 0), (1, 1)]))
+    with pytest.raises(ValueError, match=r"^\|B\| = 2 exceeds \|R\| = 1$"):
+        solve(point_set_1d([0, 1]), point_set_1d([0]))
+    planar_b, planar_r = point_set(2, [(0, 0)]), point_set(2, [(1, 1)])
+    if one_d:
+        with pytest.raises(ValueError, match=r"^1-dimensional point sets required, got 2$"):
+            solve(planar_b, planar_r)
+    else:
+        solve(planar_b, planar_r)

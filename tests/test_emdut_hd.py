@@ -17,7 +17,7 @@ from emdut.emdut_hd import (
     hyperplanes_linf,
     rotate_45_to_l1,
 )
-from emdut.hardness import Graph, clique_instance_value, clique_linf_sym
+from emdut.hardness import Graph, clique_instance_value, clique_linf_sym, decomposed_value
 from emdut.sweep1d import emdut_1d_sweep
 
 from conftest import huge_lcm_points, rand_points
@@ -286,6 +286,11 @@ def test_emd_value_at_examples_and_bad_input():
         emd_value_at(B2, point_set_1d([3]), Metric.L1, (1, 0))
     with pytest.raises(ValueError, match="exceeds"):
         emd_value_at(R, B, Metric.L1, (0, 0))
+    # floats in the translation are rejected, as in every coordinate
+    with pytest.raises(TypeError):
+        emd_value_at(B2, R2, Metric.L1, (0.1, 0))
+    with pytest.raises(TypeError):
+        emd_value_at(point_set(2, []), R, Metric.LINF, (1, 0.5))
 
 
 def test_solver_cost_matrices_hold_only_ints(monkeypatch):
@@ -317,5 +322,8 @@ def test_solver_cost_matrices_hold_only_ints(monkeypatch):
         emd_value_at(planar_b, planar_r, metric, (F(1, 2), F(-5, 3)))
     gi = clique_linf_sym(Graph.from_edges(2, [(1, 2)]), 2)
     assert clique_instance_value(gi) == gi.lam
+    # rational candidates share the points' frame too
+    path = clique_linf_sym(Graph.from_edges(3, [(1, 2), (2, 3)]), 2)
+    decomposed_value(path.parts, Metric.LINF, [(F(1, 2), F(3, 2), F(1, 2), F(3, 2), 0)])
     assert len(built) > 10
     assert all(type(c) is int for rows in built for row in rows for c in row)
