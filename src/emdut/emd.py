@@ -151,56 +151,60 @@ def _min_cost_assignment(
     semantics the EMD contract asks for.  A column's potential only ever
     drops, so every potential is <= 0, and a column left free was never
     reached and keeps 0.
+
+    Each augmentation is one Dijkstra search from row i over the columns.
+    The distance to the last column taken into the tree is one offset that
+    only grows; ``minv`` holds the tentative distances of the columns
+    outside the tree on that same scale, so a step scans only those
+    columns and nothing is shifted.  Once a free column is reached, each
+    tree column's potential (and its row's) moves by the offset gained
+    since it joined, in one pass per augmentation.
     """
     m = len(cost)
     n = len(cost[0]) if m else 0
     assert m <= n
-    u = [0] * (m + 1)
-    v = [0] * (n + 1)
-    match_row = [0] * (n + 1)  # 1-based column -> 1-based row, 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, m + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = [_INF] * (n + 1)
-        used = [False] * (n + 1)
-        ci = cost[i - 1]
+    u = [0] * m
+    v = [0] * n
+    match_row = [-1] * n  # column -> row, -1 = free
+    way = [-1] * n  # column -> the tree column before it, -1 = the root row
+    for i in range(m):
+        minv = [_INF] * n
+        outside = list(range(n))  # columns not in the tree, in scan order
+        tree = []  # (column, offset when it joined)
+        i0, j0, joined = i, -1, 0
         while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            delta = _INF
+            base = joined - u[i0]
+            ri = cost[i0]
+            offset = _INF
             j1 = -1
-            ui0 = u[i0]
-            ri = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = ri[j - 1] - ui0 - v[j]
+            for j in outside:
+                cur = ri[j] + base - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_row[j]] += delta
-                    v[j] -= delta
                 else:
-                    if minv[j] is not _INF:
-                        minv[j] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
+                    cur = minv[j]
+                if cur < offset:
+                    offset = cur
+                    j1 = j
+            outside.remove(j1)
+            if match_row[j1] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
+            tree.append((j1, offset))
+            i0, j0, joined = match_row[j1], j1, offset
+        u[i] += offset
+        for j, joined in tree:
+            u[match_row[j]] += offset - joined
+            v[j] -= offset - joined
+        while j1 >= 0:
+            j0 = way[j1]
+            match_row[j1] = match_row[j0] if j0 >= 0 else i
+            j1 = j0
     assignment = [-1] * m
-    for j in range(1, n + 1):
-        if match_row[j]:
-            assignment[match_row[j] - 1] = j - 1
-    return sum(cost[i][assignment[i]] for i in range(m)), assignment, v[1:]
+    for j, r in enumerate(match_row):
+        if r >= 0:
+            assignment[r] = j
+    return sum(cost[i][assignment[i]] for i in range(m)), assignment, v
 
 
 def _assignment_value(cost: Sequence[Sequence[int]]) -> int:

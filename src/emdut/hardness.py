@@ -249,20 +249,11 @@ def decide_ov(inst: OVInstance) -> bool:
 
 def combination_spacing(gadgets: Sequence[tuple[PointSet, PointSet]]) -> tuple:
     """(L1 diameter of the joint bounding box, spacing U) for a gadget list."""
-    dim = gadgets[0][0].dim
-    total = sum(len(b) + len(r) for b, r in gadgets)
-    los = [None] * dim
-    his = [None] * dim
-    for b, r in gadgets:
-        for ps in (b, r):
-            for p in ps.points:
-                for a in range(dim):
-                    if los[a] is None or p[a] < los[a]:
-                        los[a] = p[a]
-                    if his[a] is None or p[a] > his[a]:
-                        his[a] = p[a]
-    diameter = sum((hi - lo for lo, hi in zip(los, his)), Fraction(0))
-    spacing = (2 * total + 5) * diameter
+    points = [p for b, r in gadgets for ps in (b, r) for p in ps.points]
+    # per-axis extents on one integer frame: int comparisons, not Fraction ones
+    ints, den = _as_int_matrix(points)
+    diameter = Fraction(sum(max(axis) - min(axis) for axis in zip(*ints)), den)
+    spacing = (2 * len(points) + 5) * diameter
     if spacing == 0:
         spacing = Fraction(1)  # degenerate all-equal gadgets still separate
     return diameter, spacing
@@ -277,6 +268,11 @@ def combine_gadgets(
     a gadget, so the optimal value of the combined instance equals
     min over tau of the sum of per-gadget EMD values.
     """
+    return _combine(gadgets)[:2]
+
+
+def _combine(gadgets: Sequence[tuple[PointSet, PointSet]]):
+    """(blue, red, U) of :func:`combine_gadgets`; the generators record U."""
     if not gadgets:
         raise ValueError("need at least one gadget")
     dim = gadgets[0][0].dim
@@ -292,7 +288,7 @@ def combine_gadgets(
         shift = spacing * idx
         blue_rows.extend((p[0] + shift,) + p[1:] for p in b.points)
         red_rows.extend((p[0] + shift,) + p[1:] for p in r.points)
-    return PointSet(dim, tuple(blue_rows)), PointSet(dim, tuple(red_rows))
+    return PointSet(dim, tuple(blue_rows)), PointSet(dim, tuple(red_rows)), spacing
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +340,10 @@ def clique_l1_asym(g: Graph, k: int) -> GadgetInstance:
         ]
         parts.append((point_set(d, origin), point_set(d, reds_hi)))
     lam = Fraction(math.comb(k, 2) * (d - 2) * n_nodes)
-    blue, red = combine_gadgets(parts)
+    blue, red, spacing = _combine(parts)
     meta = {
         "variant": "l1-asym", "k": k, "N": n_nodes, "d": d,
-        "edges": len(g.edges), "U": combination_spacing(parts)[1],
+        "edges": len(g.edges), "U": spacing,
     }
     return GadgetInstance(blue, red, lam, Metric.L1, tuple(parts), meta)
 
@@ -379,10 +375,10 @@ def clique_l1_sym(g: Graph, k: int) -> GadgetInstance:
         parts.append((point_set(d, blues), point_set(d, reds)))
         parts.append((point_set(d, blues_neg), point_set(d, reds_hi)))
     lam = Fraction(math.comb(k, 2) * ((d + 4) * m_edges - 8) * n_nodes)
-    blue, red = combine_gadgets(parts)
+    blue, red, spacing = _combine(parts)
     meta = {
         "variant": "l1-sym", "k": k, "N": n_nodes, "d": d,
-        "edges": m_edges, "U": combination_spacing(parts)[1],
+        "edges": m_edges, "U": spacing,
     }
     return GadgetInstance(blue, red, lam, Metric.L1, tuple(parts), meta)
 
@@ -424,10 +420,10 @@ def clique_linf_sym(g: Graph, k: int) -> GadgetInstance:
         parts.append((point_set(d, blues_neg), point_set(d, reds)))
     lam = Fraction(20 * n_nodes * k * 2 * (k - 1)
                    + 20 * n_nodes * m_edges * math.comb(k, 2))
-    blue, red = combine_gadgets(parts)
+    blue, red, spacing = _combine(parts)
     meta = {
         "variant": "linf-sym", "k": k, "N": n_nodes, "d": d,
-        "edges": m_edges, "U": combination_spacing(parts)[1],
+        "edges": m_edges, "U": spacing,
     }
     return GadgetInstance(blue, red, lam, Metric.LINF, tuple(parts), meta)
 

@@ -68,7 +68,7 @@ def emdut_1d_symmetric(blue: PointSet, red: PointSet):
     """
     m, n = _pair_sizes(blue, red, 1)
     if m != n:
-        raise ValueError(f"size mismatch: |B| = {m}, |R| = {n}")
+        raise ValueError(f"|B| = {m} is less than |R| = {n}")
     if n == 0:
         return Fraction(0), Fraction(0), ()
     bs, rs, border, rorder, den = _sorted_frame(blue, red)
@@ -227,9 +227,7 @@ class _Sweep:
         self.fs += line_a
         self.fi += line_b
         bt = run.bt
-        phi = self.phi
-        for k in range(j, bt + 1):
-            phi[k] += 1
+        phi, rc = self.phi, self.rc
         # shrink the source run; a run that moves whole is dropped, as its
         # one queued event was just consumed
         if pos > 0:
@@ -241,18 +239,24 @@ class _Sweep:
         # slide: while the next free red lies below the next run and has the
         # suffix's first coordinate, every switch line of the suffix is
         # (0, 0), so a fresh run would pop its whole-run move at this same
-        # time; take those moves now
+        # time; count those moves, then shift the suffix once for all
         nxt = self.blue_run[bt + 1] if bt + 1 < self.m else None
         limit = phi[nxt.bs] if nxt is not None else self.n
-        rc, r0 = self.rc, self.rc[phi[j]]
-        while phi[bt] + 1 < limit and rc[phi[bt] + 1] == r0:
+        first, top = phi[j] + 1, phi[bt] + 1  # the suffix's reds after the move
+        r0 = rc[first]
+        slid = 0
+        while top + slid + 1 < limit and rc[top + slid + 1] == r0:
+            slid += 1
+        if slid:
             if self.check:
-                assert all(a == b == 0 for a, b, _ in self._run_lines(j, bt, p // q))
-                self.move_log.append((j, bt, j))
-            self.events += 1
-            self.move_events += 1
-            for k in range(j, bt + 1):
-                phi[k] += 1
+                # a switch line is (0, 0) exactly when a blue's red and the
+                # next one are equal, so each step's lines are all (0, 0)
+                assert all(x == r0 for x in rc[first:top + slid + 1])
+                self.move_log.extend([(j, bt, j)] * slid)
+            self.events += slid
+            self.move_events += slid
+        for k in range(j, bt + 1):
+            phi[k] += 1 + slid
         # attach the moved suffix: merge with the next run when the red
         # indices become consecutive, otherwise start a fresh run
         if nxt is not None and limit == phi[bt] + 1:

@@ -212,3 +212,32 @@ def _digits(n):
         n, r = divmod(n, 10**300)
         chunks.append(str(r).zfill(300))
     return str(n) + "".join(reversed(chunks))
+
+
+def test_parse_reads_every_token_as_scalar_does():
+    # plain integer tokens skip ``scalar``; each must still give its value,
+    # and every other token its error text
+    corpus = [
+        "0", "+0", "-0", "7", "+7", "-7", "007", "-000123", "+0009", "0" * 700,
+        "9" * 640, "-" + "9" * 640, "1" + "0" * 639, "9" * 641, "+" + "9" * 641,
+        "9" * 4300, "-" + "9" * 4300, "9" * 4301, "-" + "9" * 4301,
+        "1_000", "-1_000", "1__0", "_1", "1_",
+        "\u0661\u0662", "-\u0661\u0662", "\uff11\uff12", "\u00b2", "1\u0662",
+        "3/4", "-6/8", "+1/3", "1/0", "0/5", "0.25", "-.5", "5.", "1.5x",
+        "1e3", "2E-2", "-1.5e+2", "1e100001", "1e1_0",
+        "+", "-", "--1", "+-1", "0x10", "inf", "nan", "1/2/3",
+    ]
+    rng = random.Random(7)
+    for _ in range(300):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 12)))
+        corpus.append(rng.choice(["", "+", "-"]) + digits)
+    for tok in corpus:
+        try:
+            want = scalar(tok)
+        except ValueError as exc:
+            want = f"line 2: {exc}"
+        try:
+            got = parse_point_set(f"1\n{tok}\n").points[0][0]
+        except PointFormatError as exc:
+            got = str(exc)
+        assert got == want and type(got) is type(want), tok[:20]

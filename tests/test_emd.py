@@ -196,6 +196,57 @@ def test_hungarian_witness_weights_beyond_float_range():
     assert emd_hungarian(B, R, Metric.LINF) == (0, tuple(range(150)))
 
 
+def _textbook_assignment(cost):
+    # shortest augmenting paths that shift every potential and tentative
+    # distance after each step: the reference the one-pass update must match
+    m, n = len(cost), len(cost[0])
+    inf = float("inf")
+    u, v = [0] * (m + 1), [0] * (n + 1)
+    match_row, way = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, m + 1):
+        match_row[0], j0 = i, 0
+        minv, used = [inf] * (n + 1), [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0, delta, j1 = match_row[j0], inf, -1
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_row[j0] == 0:
+                break
+        while j0:
+            match_row[j0] = match_row[way[j0]]
+            j0 = way[j0]
+    assignment = [-1] * m
+    for j in range(1, n + 1):
+        if match_row[j]:
+            assignment[match_row[j] - 1] = j - 1
+    return sum(cost[i][assignment[i]] for i in range(m)), assignment, v[1:]
+
+
+def test_hungarian_returns_the_textbook_triple():
+    # the grid walk's cuts read the potentials, so ties must break alike:
+    # first column in scan order, strict improvements only
+    rng = random.Random(31)
+    for k in range(600):
+        m = rng.randint(1, 9)
+        n = rng.randint(m, 12)
+        hi = (0, 1, 3, 50, 10**30)[k % 5]
+        cost = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
+        assert _min_cost_assignment(cost) == _textbook_assignment(cost)
+
+
 def test_column_potentials_bound_every_matrix_of_their_shape():
     # The grid walk cuts a translation when the potentials of the last solve
     # bound its costs above the incumbent, so that bound must never exceed
@@ -203,14 +254,19 @@ def test_column_potentials_bound_every_matrix_of_their_shape():
     # by the witness tests above.
     rng = random.Random(30)
     tight = 0
-    for k in range(1200):
-        m = rng.randint(1, 6)
-        n = rng.randint(m, 8)
+    for k in range(1320):
+        if k < 1200:
+            m = rng.randint(1, 6)
+            n = rng.randint(m, 8)
+        else:  # shapes of the witness and grid-walk solves, up to 20x28
+            m = rng.randint(7, 20)
+            n = rng.randint(m, 28)
         hi = (2, 10, 10**6)[k % 3]  # a third of the matrices are tie-heavy
         cost = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
         total, assignment, v = _min_cost_assignment(cost)
         assert len(v) == n and all(x <= 0 for x in v)
         assert sorted(set(assignment)) == sorted(assignment)
+        assert all(v[j] == 0 for j in set(range(n)) - set(assignment))
         assert _dual_bound(cost, v) == total
         if k % 2:  # a neighbour: every entry moved by a little
             other = [[max(0, c + rng.randint(-2, 2) * (1 + hi // 20)) for c in row]

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import emdut.hardness as hardness
 from emdut.core import Metric, point_set
 from emdut.emd import emd_1d_monotone
 from emdut.emdut_hd import emdut_hd
@@ -170,6 +171,39 @@ def test_combine_degenerate_spacing_guard():
     blue, red = combine_gadgets([g, g])
     assert emdut_hd(blue, red, Metric.L1)[0] == 0
     assert blue.points[0] == (F(1), F(0)) and blue.points[1] == (F(2), F(0))
+
+
+def test_combination_spacing_on_rational_gadgets():
+    rng = random.Random(37)
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        gadgets = [
+            tuple(point_set(dim, [[F(rng.randint(-50, 50), rng.randint(1, 9))
+                                   for _ in range(dim)] for _ in range(size)])
+                  for size in (rng.randint(0, 2), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        points = [p for b, r in gadgets for ps in (b, r) for p in ps.points]
+        diameter = sum(max(p[a] for p in points) - min(p[a] for p in points)
+                       for a in range(dim))
+        assert combination_spacing(gadgets) == (
+            diameter, (2 * len(points) + 5) * diameter or 1)
+
+
+@pytest.mark.parametrize("make", [clique_l1_asym, clique_l1_sym, clique_linf_sym])
+def test_each_clique_generator_makes_one_spacing_pass(monkeypatch, make):
+    calls = []
+
+    def spy(gadgets):
+        calls.append(len(gadgets))
+        return combination_spacing(gadgets)
+
+    monkeypatch.setattr(hardness, "combination_spacing", spy)
+    gi = make(Graph.from_edges(3, [(1, 2), (2, 3)]), 3)
+    assert calls == [len(gi.parts)]
+    # the recorded U is the parts' spacing, and gadget 1 sits at U on axis 1
+    assert gi.meta["U"] == combination_spacing(gi.parts)[1]
+    assert gi.blue.points[0][0] == gi.parts[0][0].points[0][0] + gi.meta["U"]
 
 
 def l1_part_candidates(parts):

@@ -26,7 +26,7 @@ def test_symmetric_examples():
 
 
 def test_symmetric_rejects_size_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\|B\| = 1 is less than \|R\| = 2$"):
         emdut_1d_symmetric(point_set_1d([1]), point_set_1d([1, 2]))
 
 
@@ -198,6 +198,12 @@ def test_equal_sizes_pop_each_alignment_from_its_own_red_on():
         assert stats.reassignment_events == 0
 
 
+def _red_steps(stats):
+    # each logged move, slid steps included, takes blues j..bt one red on;
+    # the matching starts at the identity and ends on the last m reds
+    return sum(bt - j + 1 for _, bt, j in stats.moves)
+
+
 def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments(monkeypatch):
     # OV gadgets: blues in clusters far apart, so most alignments happen
     # behind a blue's red and are skipped; reds repeat, so most moves slide
@@ -225,6 +231,7 @@ def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments(monkeypat
         assert outs[0] == outs[1]
         value, tau, phi, stats = outs[0]
         assert stats.alignment_events <= m * n / 2, (stats, m, n)
+        assert _red_steps(stats) == m * (n - m)
         assert (value <= gi.lam) == has_orthogonal_pair(inst)
         cost = sum(abs(gi.blue.points[j][0] + tau - gi.red.points[phi[j]][0])
                    for j in range(m))
@@ -251,6 +258,7 @@ def test_sweep_event_count_bound_and_moves_are_run_suffixes():
         assert stats.events <= 4 * n * m + 4
         for bs, bt, first_moved in stats.moves:
             assert bs <= first_moved <= bt  # moved set is the run suffix [j, bt]
+        assert _red_steps(stats) == m * (n - m)
 
 
 def test_sweep_matching_advances_monotonically():
