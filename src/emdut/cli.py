@@ -58,8 +58,8 @@ def _read_points(path: str) -> PointSet:
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write: json.dump would stream the text in many small chunks
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _matching_pairs(phi) -> list:

@@ -24,23 +24,22 @@ is the one value solve of an integer cost matrix.
 
 Every cost matrix comes from :func:`_cost_matrix`, a fold over the axes
 of :func:`_add_axis`, which adds one axis's distances to the rows (L1)
-or takes their maximum with it (Linf).  The grid walk of the
-translation solver keeps the folded rows of each axis prefix, so a new
-translation folds in only its last axis.  The lexicographically
+or takes their maximum with it (Linf); the grid walk of the translation
+solver alone adds cached per-axis distance tables to the rows of each
+axis prefix instead.  The lexicographically
 smallest optimal witness comes from a single solve too:
 :func:`_lex_min_assignment` appends the assignment, read as a base-n
 number, below the lowest digit of the integer cost.
 
-The Hungarian solver also returns its column potentials, all <= 0.  With
-them, :func:`_dual_bound` gives a lower bound on the optimum of any other
-cost matrix of the same shape in one pass over it.
+The Hungarian solver also returns its column potentials, all <= 0, from
+which the grid walk bounds the optimum of any other cost matrix of the
+same shape.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -213,17 +212,6 @@ def _assignment_value(cost: Sequence[Sequence[int]]) -> int:
     if len(cost) == 1:
         return min(cost[0])
     return _min_cost_assignment(cost)[0]
-
-
-def _dual_bound(cost: Sequence[Sequence[int]], v: Sequence[int]) -> int:
-    """A lower bound on the mincost assignment of ``cost`` from potentials v.
-
-    With every v_j <= 0, u_i = min_j (c_ij - v_j) makes (u, v) feasible for
-    the dual of the rectangular assignment, so sum(u) + sum(v) is at most
-    the optimum.  With the potentials of ``cost``'s own solve it is the
-    optimum.
-    """
-    return sum(v) + sum(min(map(operator.sub, row, v)) for row in cost)
 
 
 def _add_axis(rows, blues, reds, a: int, shift, metric: Metric) -> list[list]:

@@ -19,13 +19,18 @@ sum_a g_a(tau_a), where g_a is the 1D partial-matching EMD of axis a
 alone, computed by the integer monotone DP ``emd._monotone_rows``, so
 the search walks the product depth-first, each axis in ascending g_a
 order, and cuts a branch once its bound is strictly above the best
-value found.  The walk keeps on its stack the cost rows of each
-axis prefix, so a translation that passes adds only its last axis to
-them.  Before its Hungarian solve, a translation is cut again when the
-bound that the column potentials of the last solve give on its costs is
-strictly above the best value (a neighbour-dual bound).  Ties are never
-cut, so the lexicographically smallest optimal translation, in the
-original coordinates, is the one reported.
+value found.  The walk keeps on its stack the cost rows P of each axis
+prefix.  The distance table D = |b_a + t - r_a| of an axis a and offset
+t does not depend on the prefix, so it is built once and cached, up to
+``_TABLE_CELLS`` entries in all; past that cap a table is built per
+visit.  A child's rows are its prefix's rows plus the table.  At a
+leaf, the column potentials v of the last solve bound the cost P + D
+from below by sum(v) + sum_i min_j (P_ij - v_j + D_ij) (a neighbour-dual
+bound); P - v is reduced once per prefix and per solve, so the bound is
+one pass over the table, and a leaf it cuts builds no cost matrix.
+Either cut needs a bound strictly above the best value, so ties are
+never cut, and the lexicographically smallest optimal translation, in
+the original coordinates, is the one reported.
 
 Linf in dimension >= 3 evaluates the exact EMD at every vertex of the
 full arrangement, the points and all vertices on one integer frame, and
@@ -39,14 +44,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .core import Metric, Point, PointSet, _int_str, point, zero_point
 from .emd import (
-    _add_axis,
     _assignment_value,
     _cost_matrix,
-    _dual_bound,
     _frame,
     _lex_min_assignment,
     _min_cost_assignment,
@@ -58,6 +62,11 @@ from .emd import (
 from .emd import _as_int_matrix  # noqa: F401
 
 DEFAULT_BUDGET = 10_000_000
+
+# Entries, in all, of the distance tables one grid walk keeps: a memory
+# bound, like the candidate budget.  On a frame of large coordinates an
+# entry takes 40 to 48 bytes, so the cache stays under about 400 KB.
+_TABLE_CELLS = 1 << 13
 
 
 class BudgetExceeded(RuntimeError):
@@ -178,6 +187,34 @@ def _unrotate(tau: tuple[int, ...], rotated: bool) -> tuple[int, ...]:
     return (tau[0] + tau[1], tau[0] - tau[1]) if rotated else tau
 
 
+def _axis_table(bs, rs, a: int, t: int) -> list[list[int]]:
+    """The distances |b_a + t - r_a| of axis a alone, a row per blue."""
+    col = [r[a] for r in rs]
+    return [[abs(x - y) for y in col] for x in (b[a] + t for b in bs)]
+
+
+def _add_rows(rows, table) -> list[list[int]]:
+    """The entrywise sum of two matrices of one shape."""
+    return [list(map(add, row, dist)) for row, dist in zip(rows, table)]
+
+
+def _reduce_rows(rows, v) -> list[list[int]]:
+    """Each row minus the column potentials v."""
+    return [list(map(sub, row, v)) for row in rows]
+
+
+def _dual_bound(reduced, table, v_sum: int) -> int:
+    """A lower bound on the mincost assignment of P + D from potentials v.
+
+    ``reduced`` is P - v row by row, ``table`` is D and ``v_sum`` is
+    sum(v).  With every v_j <= 0, u_i = min_j (P_ij + D_ij - v_j) makes
+    (u, v) feasible for the dual of the rectangular assignment, so
+    sum(u) + sum(v) is at most the optimum.  With the potentials of
+    P + D's own solve it is the optimum.
+    """
+    return v_sum + sum(min(map(add, q, dist)) for q, dist in zip(reduced, table))
+
+
 def _grid_search(bs, rs, offsets, rotated: bool):
     """(tau, frame_tau, evaluated): the optimum, unrotated and in the frame.
 
@@ -198,6 +235,9 @@ def _grid_search(bs, rs, offsets, rotated: bool):
         rest[a] = rest[a + 1] + orders[a][0][0]
     best_v = best_tau = best_frame = None
     evaluated = 0
+    tables = [{} for _ in offsets]  # axis -> offset -> table, within the cap
+    size = len(bs) * len(rs)
+    cells = 0
     # depth-first without recursion, so d is not bounded by the stack:
     # axis a tries orders[a][nxt[a]] next, under the bound sums[a] and the
     # cost rows rows[a] of axes < a
@@ -206,27 +246,39 @@ def _grid_search(bs, rs, offsets, rotated: bool):
     tau = [0] * d
     rows = [None] * d
     rows[0] = [[0] * len(rs) for _ in bs]
-    duals = None
+    duals = reduced = None  # the last solve's potentials; rows[d - 1] - duals
+    v_sum = 0
     a = 0
     while a >= 0:
         if nxt[a] == len(orders[a]):
             a -= 1
             continue
-        g, tau[a] = orders[a][nxt[a]]
+        g, t = orders[a][nxt[a]]
         nxt[a] += 1
         bound = sums[a] + g
         if best_v is not None and bound + rest[a + 1] > best_v:
             nxt[a] = len(orders[a])  # g ascends, so the later offsets are cut too
             continue
-        cost = _add_axis(rows[a], bs, rs, a, tau[a], Metric.L1)
+        tau[a] = t
+        dist = tables[a].get(t)
+        if dist is None:
+            dist = _axis_table(bs, rs, a, t)
+            if cells + size <= _TABLE_CELLS:
+                tables[a][t] = dist
+                cells += size
         if a + 1 < d:
             a += 1
-            nxt[a], sums[a], rows[a] = 0, bound, cost
+            nxt[a], sums[a], rows[a] = 0, bound, _add_rows(rows[a - 1], dist)
+            reduced = None
             continue
-        if duals is not None and _dual_bound(cost, duals) > best_v:
-            continue
+        if duals is not None:
+            if reduced is None:
+                reduced = _reduce_rows(rows[a], duals)
+            if _dual_bound(reduced, dist, v_sum) > best_v:
+                continue
         evaluated += 1
-        v, _, duals = _min_cost_assignment(cost)
+        v, _, duals = _min_cost_assignment(_add_rows(rows[a], dist))
+        v_sum, reduced = sum(duals), None
         frame = tuple(tau)
         orig = _unrotate(frame, rotated)
         if best_v is None or v < best_v or (v == best_v and orig < best_tau):

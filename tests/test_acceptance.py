@@ -267,18 +267,22 @@ def test_criterion_09_clique_end_to_end():
 
 
 def test_criterion_10_bench_scaling_trend(capsys):
-    code = cli_main(["bench", "sweep", "--sizes", "250,500,1000,2000", "--seed", "1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    lines = out.strip().split("\n")
-    assert lines[0] == "n,m,events,millis"
-    rows = [ln.split(",") for ln in lines[1:]]
-    assert [int(r[0]) for r in rows] == [250, 500, 1000, 2000]
-    millis = []
-    for r in rows:
-        n, m, events = int(r[0]), int(r[1]), int(r[2])
-        assert events <= 4 * n * m + 4
-        millis.append(float(r[3]))
+    # Three runs, and the fastest time per size: one run alone is at the
+    # mercy of whatever else the machine does while it is timed.
+    runs = []
+    for _ in range(3):
+        code = cli_main(["bench", "sweep", "--sizes", "250,500,1000,2000", "--seed", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        lines = out.strip().split("\n")
+        assert lines[0] == "n,m,events,millis"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [int(r[0]) for r in rows] == [250, 500, 1000, 2000]
+        for r in rows:
+            n, m, events = int(r[0]), int(r[1]), int(r[2])
+            assert events <= 4 * n * m + 4
+        runs.append([float(r[3]) for r in rows])
+    millis = [min(times) for times in zip(*runs)]
     ratios = [b / a for a, b in zip(millis, millis[1:])]
     assert all(2.5 <= r <= 6.5 for r in ratios), (millis, ratios)
     _report(10, f"bench completed; consecutive-size time ratios "

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -76,6 +77,46 @@ def test_solve_emd_and_hd(capsys, tmp_path):
     )
     assert code == 0
     assert "translation" not in json.loads(out)
+
+
+def test_solve_prints_exactly_these_bytes(capsys, monkeypatch, tmp_path):
+    # The JSON layout is part of the interface: a change to it must change
+    # this test too.  The clock is fixed so that "millis" reads 12.5.
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text("2\n0 0\n1/2 3\n")
+    red.write_text("2\n0 0\n3 0\n-1 2\n")
+    clock = iter([1.0, 1.0125])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=clock.__next__))
+    code, out, err = run(capsys, ["solve", "emdut-hd", "--blue", str(blue),
+                                  "--red", str(red), "--metric", "linf"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (
+        b'{\n'
+        b'  "value": "3/2",\n'
+        b'  "algorithm": "arrangement-linf",\n'
+        b'  "stats": {\n'
+        b'    "events": null,\n'
+        b'    "candidates": 36,\n'
+        b'    "evaluated": 6,\n'
+        b'    "millis": 12.5\n'
+        b'  },\n'
+        b'  "translation": [\n'
+        b'    "-3/2",\n'
+        b'    "-1"\n'
+        b'  ],\n'
+        b'  "matching": [\n'
+        b'    [\n'
+        b'      0,\n'
+        b'      0\n'
+        b'    ],\n'
+        b'    [\n'
+        b'      1,\n'
+        b'      2\n'
+        b'    ]\n'
+        b'  ]\n'
+        b'}\n'
+    )
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, request,

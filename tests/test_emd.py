@@ -6,13 +6,14 @@ import pytest
 
 from emdut.core import Metric, lp_distance, point_set, point_set_1d
 from emdut.emd import (
-    _dual_bound,
     _min_cost_assignment,
     emd_1d_monotone,
     emd_bruteforce,
     emd_hungarian,
 )
 from emdut.emdut_hd import (
+    _dual_bound,
+    _reduce_rows,
     candidate_translations,
     emd_value_at,
     emdut_hd,
@@ -247,13 +248,27 @@ def test_hungarian_returns_the_textbook_triple():
         assert _min_cost_assignment(cost) == _textbook_assignment(cost)
 
 
+def _one_pass_bound(cost, v):
+    # sum(v) + sum_i min_j (c_ij - v_j): feasible for the dual when v <= 0
+    return sum(v) + sum(min(c - x for c, x in zip(row, v)) for row in cost)
+
+
 def test_column_potentials_bound_every_matrix_of_their_shape():
     # The grid walk cuts a translation when the potentials of the last solve
     # bound its costs above the incumbent, so that bound must never exceed
     # the optimum.  The totals themselves are checked against brute force
-    # by the witness tests above.
+    # by the witness tests above.  The walk reads the bound of a matrix
+    # P + D from P - v and D, so each matrix is also split in two at random
+    # and the split bound must be the one-pass bound exactly.
     rng = random.Random(30)
+    split_rng = random.Random(32)  # leaves the matrices drawn from rng as they were
     tight = 0
+
+    def split_bound(cost, v):
+        table = [[split_rng.randint(0, c) for c in row] for row in cost]
+        prefix = [[c - e for c, e in zip(row, dist)] for row, dist in zip(cost, table)]
+        return _dual_bound(_reduce_rows(prefix, v), table, sum(v))
+
     for k in range(1320):
         if k < 1200:
             m = rng.randint(1, 6)
@@ -267,13 +282,15 @@ def test_column_potentials_bound_every_matrix_of_their_shape():
         assert len(v) == n and all(x <= 0 for x in v)
         assert sorted(set(assignment)) == sorted(assignment)
         assert all(v[j] == 0 for j in set(range(n)) - set(assignment))
-        assert _dual_bound(cost, v) == total
+        assert _one_pass_bound(cost, v) == total
+        assert split_bound(cost, v) == total
         if k % 2:  # a neighbour: every entry moved by a little
             other = [[max(0, c + rng.randint(-2, 2) * (1 + hi // 20)) for c in row]
                      for row in cost]
         else:
             other = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
-        bound, optimum = _dual_bound(other, v), _min_cost_assignment(other)[0]
+        bound, optimum = _one_pass_bound(other, v), _min_cost_assignment(other)[0]
+        assert split_bound(other, v) == bound
         assert bound <= optimum
         tight += bound == optimum
     assert tight > 300

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -226,7 +227,42 @@ def test_dual_cut_leaves_few_solves_on_unrelated_sets():
     value, tau, phi, candidates, evaluated = emdut_hd(B, R, Metric.L1,
                                                       return_stats=True)
     assert candidates == 18**4
-    assert evaluated <= 600
+    assert evaluated == 491
+    assert matching_cost(B, R, Metric.L1, phi, tau) == value
+
+
+def test_distance_table_cache_keeps_to_its_cap(monkeypatch):
+    # Unrelated 4 x 40 sets: the distinct (axis, offset) distance tables
+    # that the walk builds take over 1 MB together, so a cache that kept
+    # them all would break the bound below.  The cap keeps the peak under it.
+    rng = random.Random(8)
+    B, R = (point_set(2, [(rng.randint(0, 10**12), rng.randint(0, 10**12))
+                          for _ in range(count)])
+            for count in (4, 40))
+    hd = importlib.import_module("emdut.emdut_hd")
+    real = hd._axis_table
+    sizes = {}  # (axis, offset) -> bytes of its table; the tables are not kept
+
+    def spy(bs, rs, a, t):
+        table = real(bs, rs, a, t)
+        if (a, t) not in sizes:  # ints up to 256 are shared, the others not
+            sizes[a, t] = sys.getsizeof(table) + sum(
+                sys.getsizeof(row) + sum(sys.getsizeof(e) for e in row if e > 256)
+                for row in table)
+        return table
+
+    monkeypatch.setattr(hd, "_axis_table", spy)
+    tracemalloc.start()
+    try:
+        value, tau, phi, candidates, evaluated = emdut_hd(B, R, Metric.L1,
+                                                          return_stats=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (candidates, evaluated) == (160**2, 62)
+    assert len(sizes) * 4 * 40 > hd._TABLE_CELLS
+    assert sum(sizes.values()) > 2**20
+    assert peak < 2**20
     assert matching_cost(B, R, Metric.L1, phi, tau) == value
 
 
@@ -296,21 +332,24 @@ def test_emd_value_at_examples_and_bad_input():
 def test_solver_cost_matrices_hold_only_ints(monkeypatch):
     # Points are scaled into an integer frame once per solve, so no cost
     # matrix on a solver path ever holds a Fraction, even on rational input.
-    # The grid walk folds its rows axis by axis, so its builder is spied too.
+    # The grid walk adds cached per-axis tables to its prefix rows and
+    # reduces them by the last potentials, so those builders are spied too.
     modules = [importlib.import_module(f"emdut.{name}")
                for name in ("emd", "emdut_hd", "hardness")]
     built = []
 
-    def spy(real):
+    def spy(real, out=built):
         def wrapper(*args, **kwargs):
             rows = real(*args, **kwargs)
-            built.append(rows)
+            out.append(rows)
             return rows
         return wrapper
 
     for module in modules:
         monkeypatch.setattr(module, "_cost_matrix", spy(module._cost_matrix))
-    monkeypatch.setattr(modules[1], "_add_axis", spy(modules[1]._add_axis))
+    walk = {name: [] for name in ("_axis_table", "_add_rows", "_reduce_rows")}
+    for name, out in walk.items():
+        monkeypatch.setattr(modules[1], name, spy(getattr(modules[1], name), out))
     planar_b = point_set(2, [(F(1, 3), F(-2, 7)), (F(5, 2), 0)])
     planar_r = point_set(2, [(F(4, 5), F(1, 9)), (2, F(-3, 4)), (F(7, 6), 3)])
     solid_b = point_set(3, [(F(1, 2), 0, F(2, 3))])
@@ -327,3 +366,7 @@ def test_solver_cost_matrices_hold_only_ints(monkeypatch):
     decomposed_value(path.parts, Metric.LINF, [(F(1, 2), F(3, 2), F(1, 2), F(3, 2), 0)])
     assert len(built) > 10
     assert all(type(c) is int for rows in built for row in rows for c in row)
+    # the walk builds its rows from per-axis tables, so those are checked too
+    assert all(walk.values())
+    assert all(type(c) is int for out in walk.values()
+               for rows in out for row in rows for c in row)
