@@ -7,8 +7,9 @@ injective blue-to-red matching):
   :func:`_monotone_rows`, in O(|B|*(|R|-|B|+1)) on the sorted integer
   frame of :func:`_sorted_frame`; an optimal matching always exists that
   is monotone, so the DP is exact.  Every 1D routine of the package runs
-  on that frame, and the DP also gives the translation solvers their
-  per-axis bounds.
+  on that frame.  The alignment oracle and the translation solver's
+  per-axis bounds read only the value, so they run
+  :func:`_monotone_value`, the same DP on one rolling row.
 * ``emd_hungarian``    -- general-dimension mincost matching via shortest
   augmenting paths with exact integer potentials.
 * ``emd_bruteforce``   -- factorial enumeration, the test oracle.
@@ -112,6 +113,22 @@ def _monotone_rows(bs: Sequence[int], rs: Sequence[int], shift: int = 0) -> list
             row[k] = best
         rows[i] = row
     return rows
+
+
+def _monotone_value(bs: Sequence[int], rs: Sequence[int], shift: int = 0) -> int:
+    """``_monotone_rows(bs, rs, shift)[0][0]``, the EMD alone, on one rolling row."""
+    slack = len(rs) - len(bs)
+    row = [0] * (slack + 1)
+    for i in range(len(bs) - 1, -1, -1):
+        b = bs[i] + shift
+        best = abs(b - rs[i + slack]) + row[slack]
+        row[slack] = best
+        for k in range(slack - 1, -1, -1):
+            take = abs(b - rs[i + k]) + row[k]
+            if take < best:
+                best = take
+            row[k] = best
+    return row[0]
 
 
 def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:

@@ -16,7 +16,7 @@ run in that frame, and only the answer leaves it.
 
 The product is never built.  The L1 cost at tau is at least
 sum_a g_a(tau_a), where g_a is the 1D partial-matching EMD of axis a
-alone, computed by the integer monotone DP ``emd._monotone_rows``, so
+alone, computed by the integer monotone DP ``emd._monotone_value``, so
 the search walks the product depth-first, each axis in ascending g_a
 order, and cuts a branch once its bound is strictly above the best
 value found.  The walk keeps on its stack the cost rows P of each axis
@@ -54,7 +54,7 @@ from .emd import (
     _frame,
     _lex_min_assignment,
     _min_cost_assignment,
-    _monotone_rows,
+    _monotone_value,
     _pair_sizes,
 )
 # _as_int_matrix is unused here but kept importable: the benchmark's tracer
@@ -229,7 +229,7 @@ def _grid_search(bs, rs, offsets, rotated: bool):
     for a, offs in enumerate(offsets):
         ba = sorted(b[a] for b in bs)
         ra = sorted(r[a] for r in rs)
-        orders.append(sorted((_monotone_rows(ba, ra, t)[0][0], t) for t in offs))
+        orders.append(sorted((_monotone_value(ba, ra, t), t) for t in offs))
     rest = [0] * (d + 1)  # rest[a]: sum of the smallest bounds of axes a..
     for a in range(d - 1, -1, -1):
         rest[a] = rest[a + 1] + orders[a][0][0]

@@ -265,7 +265,12 @@ class TreeEnvelope:
 
 
 class NaiveEnvelope:
-    """Plain-list reference: every query recomputes from the line list."""
+    """Plain list: every query recomputes from the line list.
+
+    The list is the envelope's own copy of the lines passed in, and
+    ``add_range`` rewrites its entries in place, so no caller's list and
+    no earlier ``lines()`` snapshot ever sees an update.
+    """
 
     def __init__(self, lines=()):
         self._lines = [(l[0], l[1], l[2] if len(l) > 2 else None) for l in lines]
@@ -277,7 +282,10 @@ class NaiveEnvelope:
         return self._lines.pop(pos)
 
     def add_range(self, lo, hi, da, db):
-        self._lines[lo:hi] = [(a + da, b + db, tag) for a, b, tag in self._lines[lo:hi]]
+        lines = self._lines
+        for i in range(lo, hi):
+            a, b, tag = lines[i]
+            lines[i] = (a + da, b + db, tag)
 
     def __len__(self):
         return len(self._lines)

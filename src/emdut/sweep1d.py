@@ -16,8 +16,8 @@ triggered by a root of the run's envelope).
 All three routines here, the alignment oracle included, run on one
 frame, ``emd._sorted_frame``: the coordinates scaled once by the lcm of
 their denominators and stably sorted.  The median algorithm takes the
-median of integer differences, and the oracle runs the DP
-``emd._monotone_rows`` at each integer offset.  In the sweep every
+median of integer differences, and the oracle runs the value-only DP
+``emd._monotone_value`` at each integer offset.  In the sweep every
 event time is then a pair p/q of ints: q = 1 at an alignment, and a
 root's q divides 2i with i <= m, as run slopes lie in {0, -2, ..., -2m}.
 Distinct times differ by at least 1/(4m^2), so the heap key
@@ -42,12 +42,14 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import PointSet
-from .emd import _monotone_rows, _pair_sizes, _sorted_frame
+from .emd import _monotone_value, _pair_sizes, _sorted_frame
 from .envelope import NaiveEnvelope, TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
-# The list envelope beats the blocked tree at every measured run size
-# (m = 65..400); the tree stays as a differential reference.
+# The sweep runs the list envelope: it beat the blocked tree on random
+# n = 2m sets at m = 65..400, where runs are short.  On one long run (blues
+# 10 apart, m = 520) the tree was faster, 31.6 against 37.0 s of CPU time on
+# a 2-vCPU machine, so it stays, as a differential reference and for long runs.
 _ENVELOPES = {"naive": NaiveEnvelope, "tree": TreeEnvelope}
 
 
@@ -98,7 +100,7 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
         return Fraction(0)
     bs, rs, _, _, den = _sorted_frame(blue, red)
     offsets = {r - b for b in bs for r in rs}
-    return Fraction(min(_monotone_rows(bs, rs, t)[0][0] for t in offsets), den)
+    return Fraction(min(_monotone_value(bs, rs, t) for t in offsets), den)
 
 
 @dataclass
@@ -127,36 +129,34 @@ class _Sweep:
         self.next_rid = 0
         self.fs = -self.m
         self.fi = sum(rc[j] - bc[j] for j in range(self.m))
-        self.events = 0
-        self.align_events = 0
+        self.align_events = 0  # every event is one of these or a move
         self.move_events = 0
         self.move_log: Optional[list] = [] if check else None
 
     # -- envelope helpers ---------------------------------------------------
 
-    def _delta_prime(self, j, floor_tau):
-        # current linear piece of the cost change when blue j switches from
-        # its red to the next one; caller guarantees the next red exists.
-        # The piece changes only at integer times, so floor(tau) selects it.
-        v = self.phi[j]
-        r, rp = self.rc[v], self.rc[v + 1]
-        x = self.bc[j] + floor_tau
-        if x < r:
-            return 0, rp - r
-        if x < rp:
-            return -2, r + rp - 2 * self.bc[j]
-        return 0, r - rp
-
     def _run_lines(self, bs, bt, floor_tau, acc_a=0, acc_b=0):
         # suffix sums of the per-blue switch costs on top of the base line
-        # (acc_a, acc_b), the line of blue bt coming last
-        out = []
+        # (acc_a, acc_b), the line of blue bt coming last.  Blue j's switch
+        # from its red r to the next red rp costs a piece of
+        # |x - rp| - |x - r| at x = bc[j] + tau, which changes only at
+        # integer times, so floor(tau) selects it; the run's last red is
+        # not the last one, so rp exists for every blue of the run.
+        phi, bc, rc = self.phi, self.bc, self.rc
+        out = [None] * (bt - bs + 1)
         for j in range(bt, bs - 1, -1):
-            da, db = self._delta_prime(j, floor_tau)
-            acc_a += da
-            acc_b += db
-            out.append((acc_a, acc_b, j))
-        out.reverse()
+            v = phi[j]
+            r, rp = rc[v], rc[v + 1]
+            b = bc[j]
+            x = b + floor_tau
+            if x < r:
+                acc_b += rp - r
+            elif x < rp:
+                acc_a -= 2
+                acc_b += r + rp - 2 * b
+            else:
+                acc_b += r - rp
+            out[j - bs] = (acc_a, acc_b, j)
         return out
 
     def _make_run(self, bs, bt, p, q) -> _Run:
@@ -199,15 +199,13 @@ class _Sweep:
 
     # -- event handlers -------------------------------------------------------
 
-    def _handle_alignment(self, j, v, t):
-        # blue j meets its own red (its cost's slope gains 2) or the next red
-        # (its switch cost's slope flips sign); later reds change nothing
-        w = self.phi[j]
+    def _handle_alignment(self, j, v, w, t):
+        # blue j meets its own red w (its cost's slope gains 2) or the next
+        # red (its switch cost's slope flips sign); the main loop skips the
+        # later reds, which change nothing
         if v == w:
             self.fs += 2
             self.fi += 2 * (self.bc[j] - self.rc[v])
-        elif v != w + 1:
-            return
         run = self.blue_run[j]
         if run.env is not None:
             d = 2 if v == w else -2
@@ -253,7 +251,6 @@ class _Sweep:
                 # next one are equal, so each step's lines are all (0, 0)
                 assert all(x == r0 for x in rc[first:top + slid + 1])
                 self.move_log.extend([(j, bt, j)] * slid)
-            self.events += slid
             self.move_events += slid
         for k in range(j, bt + 1):
             phi[k] += 1 + slid
@@ -310,10 +307,10 @@ class _Sweep:
             if best_num is None or num * best_q < best_num * q:
                 best_num, best_q, best_p = num, q, p
                 best_phi = phi[:]
-            self.events += 1
             if kind == 0:
                 self.align_events += 1
-                self._handle_alignment(x, y, p)
+                if y <= w + 1:
+                    self._handle_alignment(x, y, w, p)
                 if y + 1 < n:
                     t = rc[y + 1] - bc[x]
                     heapq.heappush(heap, (t << shift, 0, x, y + 1, t, 1, None))
@@ -368,7 +365,8 @@ def emdut_1d_sweep(
             (Fraction(lo_p, lo_q * denom), Fraction(hi_p, hi_q * denom), fs,
              Fraction(fi, denom))
             for lo_p, lo_q, hi_p, hi_q, fs, fi in pieces]
-        stats = SweepStats(sweep.events, sweep.align_events, sweep.move_events,
+        stats = SweepStats(sweep.align_events + sweep.move_events,
+                           sweep.align_events, sweep.move_events,
                            descaled, sweep.move_log)
         return (*result, stats)
     return result

@@ -7,6 +7,8 @@ import pytest
 from emdut.core import Metric, lp_distance, point_set, point_set_1d
 from emdut.emd import (
     _min_cost_assignment,
+    _monotone_rows,
+    _monotone_value,
     emd_1d_monotone,
     emd_bruteforce,
     emd_hungarian,
@@ -73,6 +75,24 @@ def test_monotone_witness_is_increasing_on_sorted_inputs():
         for i, c in enumerate(want):
             expected[border[i]] = rorder[c]
         assert emd_1d_monotone(point_set_1d(bx), point_set_1d(rx)) == (best, tuple(expected))
+
+
+def test_value_dp_equals_the_table_dp_and_brute_force():
+    # the rolling-row DP of the per-axis bounds and the alignment oracle
+    # gives rows[0][0] of the table DP, which is the best sorted red subset
+    rng = random.Random(11)
+    for case in range(300):
+        m = rng.randint(0, 6)
+        n = rng.randint(max(m, 1), 9)
+        lim = 10**30 if case % 4 == 0 else 12
+        bs = sorted(rng.randint(-lim, lim) for _ in range(m))
+        rs = sorted(rng.randint(-lim, lim) for _ in range(n))
+        shift = rng.randint(-2 * lim, 2 * lim)
+        value = _monotone_value(bs, rs, shift)
+        assert value == _monotone_rows(bs, rs, shift)[0][0]
+        assert value == min(
+            sum(abs(b + shift - rs[c]) for b, c in zip(bs, cols))
+            for cols in itertools.combinations(range(n), m))
 
 
 def test_bruteforce_examples():

@@ -167,6 +167,24 @@ def test_tree_matches_naive_reference():
         _random_ops(800 + seed, 400, naive, tree, cuts=(0.2, 0.6), blocky=True)
 
 
+def test_add_range_leaves_the_given_list_snapshots_and_twins_alone():
+    # the list backend rewrites its lines in place, so the list it was
+    # built from, an earlier lines() snapshot and a second envelope built
+    # from the same list must all keep the lines they had
+    for cls in BACKENDS:
+        given = [(-4, 9, 0), (-2, 5, 1), (0, 3, 2), (1, -1, 3)]
+        kept = list(given)
+        env, twin = cls(given), cls(given)
+        snapshot = env.lines()
+        env.add_range(0, 3, -1, 2)
+        env.add_range(1, 4, 0, -5)
+        assert env.lines() == [(-5, 11, 0), (-3, 2, 1), (-1, 0, 2), (1, -6, 3)]
+        assert given == kept
+        assert snapshot == kept
+        assert twin.lines() == kept
+        assert (twin.value_at(F(0)), env.value_at(F(0))) == (-1, -6)
+
+
 def test_lazy_offsets_flush_to_same_answers():
     # rebuilding from the flushed line list must not change any query
     rng = random.Random(77)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -198,6 +199,14 @@ def test_equal_sizes_pop_each_alignment_from_its_own_red_on():
         assert stats.reassignment_events == 0
 
 
+def _ov_instance(seed, density):
+    # 3 vectors per side in d = 2, as in the benchmark's OV workload
+    rng = random.Random(seed)
+    xs, ys = (tuple(tuple(int(rng.random() < density) for _ in range(2))
+                    for _ in range(3)) for _side in range(2))
+    return OVInstance(xs, ys)
+
+
 def _red_steps(stats):
     # each logged move, slid steps included, takes blues j..bt one red on;
     # the matching starts at the identity and ends on the last m reds
@@ -216,10 +225,7 @@ def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments(monkeypat
 
     monkeypatch.setattr(sweep1d.heapq, "heappop", counting_pop)
     for seed, density in ((1091, 0.5), (1093, 0.85)):  # a yes and a no instance
-        rng = random.Random(seed)
-        xs, ys = (tuple(tuple(int(rng.random() < density) for _ in range(2))
-                        for _ in range(3)) for _side in range(2))
-        inst = OVInstance(xs, ys)
+        inst = _ov_instance(seed, density)
         gi = ov_reduction(inst)
         m, n = len(gi.blue), len(gi.red)
         outs = []
@@ -338,3 +344,30 @@ def test_sweep_translation_invariance():
         assert (
             emdut_1d_sweep(B.translate((shift,)), R)[0] == emdut_1d_sweep(B, R)[0]
         )
+
+
+# sha256 of the reprs of every return below: a change that alters any event,
+# piece or move of these sweeps changes it, so a speed-up that must leave
+# the event log alone cannot pass with a different one
+_EVENT_LOG_SHA256 = "1b4d3d6014f43cf0f58b29a207cb5ee3d944da409d88ca63448a9c16e4a7fe4d"
+
+
+def _pinned_instances():
+    # (check, blue, red): the benchmark's two sweep shapes, random ints
+    # with n = 2m up to its m = 65, and OV reductions
+    for k in range(12):
+        rng = random.Random(1800 + k)
+        m = 10 + 5 * k
+        yield (k % 3 == 0, rand_ints_1d(rng, m, 0, 20 * m),
+               rand_ints_1d(rng, 2 * m, 0, 20 * m))
+    for k in range(8):
+        gi = ov_reduction(_ov_instance(1900 + k, 0.5 if k % 2 == 0 else 0.85))
+        yield k % 3 == 0, gi.blue, gi.red
+
+
+def test_event_log_is_pinned_on_both_backends():
+    sha = hashlib.sha256()
+    for check, B, R in _pinned_instances():
+        for out in _both_backends(B, R, check=check):
+            sha.update(repr(out).encode())
+    assert sha.hexdigest() == _EVENT_LOG_SHA256
