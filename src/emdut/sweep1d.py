@@ -7,11 +7,19 @@ translation is a median of the pairwise differences.
 ``emdut_1d_sweep`` handles |B| <= |R| by sweeping the translation from
 below the first blue/red alignment to above the last one while
 maintaining the current optimal monotone matching (as runs of
-consecutive blues matched to consecutive reds), the linear piece of the
-cost function, and one suffix-cost lower envelope per run.  Two event
-kinds drive the sweep: alignment events (a blue meets a red, changing a
-slope) and reassignment events (a run suffix shifts to the next reds,
-triggered by a root of the run's envelope).
+consecutive blues matched to consecutive reds) and the linear piece of
+the cost function.  Each blue keeps its switch piece, the line in tau of
+the cost change if it moved on to its next red.  A run is only its blue
+range; its suffix-cost envelope lines are the suffix sums of its pieces,
+computed when its root is queried and never stored, and a move computes
+pieces only for the blues it moves.  Two event kinds
+drive the sweep: alignment events (a blue meets a red, changing one
+slope and one piece) and reassignment events (a run suffix shifts to the
+next reds, triggered by a root of the run's envelope).  Alignments at
+one time only mark their runs, and each marked run's root is queried
+once, after the last of them; the cost is compared once per event time,
+as it is continuous, and the best matching is copied only before the
+matching next changes.
 
 All three routines here, the alignment oracle included, run on one
 frame, ``emd._sorted_frame``: the coordinates scaled once by the lcm of
@@ -27,30 +35,31 @@ that pops behind the blue's matched red is moved up to that red
 uncounted: the matching only advances, so it would change nothing.
 A moved suffix slides on, one counted move per red, while its next free
 red lies below the next run and has the suffix's first coordinate: its
-switch lines are all (0, 0) there, so each step is the move a fresh run
+switch pieces are all (0, 0) there, so each step is the move a fresh run
 would pop at this same time, and as the cost is continuous and the best
 matching changes only on a strict improvement, taking it early is exact.
-``Fraction`` is built only for the output, which is scaled back, the
-cost pieces and checks.
+``Fraction`` is built only for the output, which is scaled back, and
+the cost pieces.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import PointSet
 from .emd import _monotone_value, _pair_sizes, _sorted_frame
-from .envelope import NaiveEnvelope, TreeEnvelope
+from .envelope import TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
-# The sweep runs the list envelope: it beat the blocked tree on random
-# n = 2m sets at m = 65..400, where runs are short.  On one long run (blues
-# 10 apart, m = 520) the tree was faster, 31.6 against 37.0 s of CPU time on
-# a 2-vCPU machine, so it stays, as a differential reference and for long runs.
-_ENVELOPES = {"naive": NaiveEnvelope, "tree": TreeEnvelope}
+# "naive" builds no envelope: a root query is one pass over the run's
+# pieces, and an alignment changes one piece.  "tree" keeps one blocked
+# envelope over the suffix sums of all pieces per solve, as a differential
+# reference that emits the same event log; each piece change is a prefix add.
+_ENVELOPES = {"naive": None, "tree": TreeEnvelope}
 
 
 class SweepStats(NamedTuple):
@@ -108,13 +117,24 @@ class _Run:
     rid: int
     bs: int            # first blue (sorted order)
     bt: int            # last blue; its red is phi[bt]
-    env: object = None     # suffix-cost envelope, None when phi[bt] is the last red
+    live: bool         # phi[bt] is not the last red, so the run can still move
     epoch: int = 0         # heap entries of older epochs are stale
-    event: object = None   # (p, q, blue) of the one live queued reassignment
+    event: object = None   # (p, q, blue, a, b) of the one live queued reassignment
+    marked: bool = False   # its pieces changed at the current alignment time
 
 
 class _Sweep:
-    """One sweep over integer-scaled coordinates; a time is p/q in lowest terms."""
+    """One sweep over integer-scaled coordinates; a time is p/q in lowest terms.
+
+    Blue j's switch piece, the line pa[j]*tau + pb[j], is the cost
+    |x - r'| - |x - r| at x = bc[j] + tau of moving it from its red r to
+    the next red r'.  A live run [bs, bt] moves the suffix from blue j on
+    when the sum of the pieces j..bt falls to zero, so the run's envelope
+    lines are the suffix sums of its pieces; they are never stored.  With
+    a tree, ``self.tree`` holds the suffix sums of all m pieces, tagged by
+    blue, and a run's lines are its range minus line bt + 1.  Pieces are
+    kept current for the blues of live runs only.
+    """
 
     def __init__(self, bc, rc, envelope_cls, check: bool):
         self.bc = bc
@@ -123,9 +143,16 @@ class _Sweep:
         self.n = len(rc)
         self.shift = (4 * self.m * self.m).bit_length()  # K of the heap keys
         self.check = check
-        self.envelope_cls = envelope_cls
         self.phi = list(range(self.m))  # the matching: blue j -> red phi[j]
+        self.pa = [0] * self.m  # switch piece slopes
+        self.pb = [0] * self.m  # switch piece intercepts
+        self.tree = None
+        self._root = self._root_naive
+        if envelope_cls is not None:
+            self.tree = envelope_cls([(0, 0, j) for j in range(self.m)])
+            self._root = self._root_tree
         self.blue_run = [None] * self.m  # blue j -> the _Run holding it
+        self.marked = []  # runs whose pieces changed at the current alignment time
         self.next_rid = 0
         self.fs = -self.m
         self.fi = sum(rc[j] - bc[j] for j in range(self.m))
@@ -133,109 +160,181 @@ class _Sweep:
         self.move_events = 0
         self.move_log: Optional[list] = [] if check else None
 
-    # -- envelope helpers ---------------------------------------------------
+    # -- switch pieces and root queries -------------------------------------
 
-    def _run_lines(self, bs, bt, floor_tau, acc_a=0, acc_b=0):
-        # suffix sums of the per-blue switch costs on top of the base line
-        # (acc_a, acc_b), the line of blue bt coming last.  Blue j's switch
-        # from its red r to the next red rp costs a piece of
-        # |x - rp| - |x - r| at x = bc[j] + tau, which changes only at
-        # integer times, so floor(tau) selects it; the run's last red is
-        # not the last one, so rp exists for every blue of the run.
-        phi, bc, rc = self.phi, self.bc, self.rc
-        out = [None] * (bt - bs + 1)
-        for j in range(bt, bs - 1, -1):
+    def _set_pieces(self, lo, hi, floor_tau):
+        # the switch pieces of blues lo..hi between floor_tau and
+        # floor_tau + 1; a piece changes only at integer times, where x
+        # meets r or r', so floor(tau) selects it.  No blue here has the
+        # last red, so r' exists.
+        phi, bc, rc, pa, pb, tree = self.phi, self.bc, self.rc, self.pa, self.pb, self.tree
+        if tree is not None:
+            old = list(zip(pa[lo:hi + 1], pb[lo:hi + 1]))
+        for j in range(lo, hi + 1):
             v = phi[j]
             r, rp = rc[v], rc[v + 1]
             b = bc[j]
             x = b + floor_tau
             if x < r:
-                acc_b += rp - r
+                pa[j] = 0
+                pb[j] = rp - r
             elif x < rp:
-                acc_a -= 2
-                acc_b += r + rp - 2 * b
+                pa[j] = -2
+                pb[j] = r + rp - 2 * b
             else:
-                acc_b += r - rp
-            out[j - bs] = (acc_a, acc_b, j)
-        return out
+                pa[j] = 0
+                pb[j] = r - rp
+        if tree is not None:
+            # piece j is in the suffix sums of lines 0..j
+            for j, (a, b) in enumerate(old, lo):
+                if a != pa[j] or b != pb[j]:
+                    tree.add_range(0, j + 1, pa[j] - a, pb[j] - b)
 
-    def _make_run(self, bs, bt, p, q) -> _Run:
-        run = _Run(self.next_rid, bs, bt)
+    def _root_naive(self, bs, bt, p0, q0):
+        # the envelopes' root rule on the run's lines, in one backward pass
+        # over its pieces: the first line <= 0 at t0 answers at t0, else the
+        # first falling line with the smallest root -b/a does (<= keeps the
+        # first on ties, as the pass runs backward).  Returns (p, q, blue,
+        # a, b) with that blue's line a*tau + b, or None.
+        pa, pb = self.pa, self.pb
+        a = b = 0
+        hit = -1
+        root_p, root_q = 1, 0  # the smallest root so far; 1/0 is above all
+        for j in range(bt, bs - 1, -1):
+            a += pa[j]
+            b += pb[j]
+            if a * p0 + b * q0 <= 0:
+                hit, hit_a, hit_b = j, a, b
+            elif a < 0 and b * root_q <= root_p * -a:
+                root_p, root_q, root_j, root_a, root_b = b, -a, j, a, b
+        if hit >= 0:
+            return p0, q0, hit, hit_a, hit_b
+        if not root_q:
+            return None
+        g = math.gcd(root_p, root_q)
+        return root_p // g, root_q // g, root_j, root_a, root_b
+
+    def _root_tree(self, bs, bt, p0, q0):
+        # the same rule and return, answered by the tree on its lines bs..bt
+        # minus line bt + 1
+        tree = self.tree
+        got = tree.root_piece(p0, q0, bs, bt + 1)
+        if got is None:
+            return None
+        a, b, _ = tree.get(got[2])
+        if bt + 1 < self.m:
+            base_a, base_b, _ = tree.get(bt + 1)
+            a -= base_a
+            b -= base_b
+        return (*got, a, b)
+
+    def _range_lines(self, bs, bt):
+        # check-mode only: the run's lines, the suffix sums of its pieces
+        out, a, b = [], 0, 0
+        for j in range(bt, bs - 1, -1):
+            a += self.pa[j]
+            b += self.pb[j]
+            out.append((a, b, j))
+        return out[::-1]
+
+    def _make_run(self, bs, bt, p, q):
+        run = _Run(self.next_rid, bs, bt, self.phi[bt] < self.n - 1)
         self.next_rid += 1
-        if self.phi[bt] < self.n - 1:
-            run.env = self.envelope_cls(self._run_lines(bs, bt, p // q))
         self.blue_run[bs:bt + 1] = [run] * (bt - bs + 1)
-        self._reschedule(run, p, q)
-        return run
+        if run.live:
+            self._set_pieces(bs, bt, p // q)
+            self._reschedule(run, p, q)
 
     def _reschedule(self, run: _Run, p, q):
-        # queue the run's next reassignment unless it is already queued
-        got = run.env.root_piece(p, q) if run.env is not None else None
+        # queue the live run's next reassignment unless it is already queued
+        got = self._root(run.bs, run.bt, p, q)
         if got != run.event:
             run.epoch += 1
             run.event = got
             if got is not None:
                 # (rid, epoch) is unique per entry, so ties never compare runs
-                rp, rq, _ = got
+                rp, rq = got[0], got[1]
                 heapq.heappush(self.heap, ((rp << self.shift) // rq, 1, run.rid,
                                            run.epoch, rp, rq, run))
 
+    def _reschedule_marked(self, t):
+        for run in self.marked:
+            run.marked = False
+            self._reschedule(run, t, 1)
+        self.marked.clear()
+
     def _verify_runs(self, floor_tau):
-        # check-mode only: each run matches its blues to consecutive reds,
-        # has an envelope unless its last red is the last one, and stores
-        # suffix-cost lines equal to pieces recomputed from scratch
-        # strictly inside the current interval
+        # check-mode only: each run matches its blues to consecutive reds and
+        # is live unless its last red is the last one; a live run's pieces
+        # equal pieces recomputed from scratch strictly inside the current
+        # interval, and on the tree its range lines are their suffix sums
         phi, j = self.phi, 0
+        tree_lines = None if self.tree is None else self.tree.lines() + [(0, 0, None)]
         while j < self.m:
             run = self.blue_run[j]
-            assert run.bs == j and all(r is run for r in self.blue_run[j:run.bt + 1])
-            assert phi[j:run.bt + 1] == list(range(phi[j], phi[run.bt] + 1))
-            assert (run.env is None) == (phi[run.bt] == self.n - 1)
-            if run.env is not None:
-                want = [(a, b) for a, b, _ in self._run_lines(run.bs, run.bt, floor_tau)]
-                got = [(a, b) for a, b, _ in run.env.lines()]
-                assert got == want, (run.rid, got, want)
-            j = run.bt + 1
+            bs, bt = run.bs, run.bt
+            assert bs == j and all(r is run for r in self.blue_run[j:bt + 1])
+            assert phi[j:bt + 1] == list(range(phi[j], phi[bt] + 1))
+            assert run.live == (phi[bt] < self.n - 1) and not run.marked
+            if run.live:
+                # each piece from its definition, at tau = t2/2 strictly
+                # between two integers, where no blue meets a red; all doubled
+                t2 = 2 * floor_tau + 1
+                for k in range(bs, bt + 1):
+                    r2, rp2 = 2 * self.rc[phi[k]], 2 * self.rc[phi[k] + 1]
+                    x2 = 2 * self.bc[k] + t2
+                    a = (1 if x2 > rp2 else -1) - (1 if x2 > r2 else -1)
+                    b2 = abs(x2 - rp2) - abs(x2 - r2) - a * t2
+                    assert (self.pa[k], 2 * self.pb[k]) == (a, b2), (run.rid, k, a, b2)
+                if tree_lines is not None:
+                    base_a, base_b, _ = tree_lines[bt + 1]
+                    lines = [(a - base_a, b - base_b, tag)
+                             for a, b, tag in tree_lines[bs:bt + 1]]
+                    assert lines == self._range_lines(bs, bt), (run.rid, lines)
+            j = bt + 1
 
     # -- event handlers -------------------------------------------------------
 
-    def _handle_alignment(self, j, v, w, t):
+    def _handle_alignment(self, j, v, w):
         # blue j meets its own red w (its cost's slope gains 2) or the next
-        # red (its switch cost's slope flips sign); the main loop skips the
-        # later reds, which change nothing
+        # red (its switch piece's slope flips sign); the main loop skips the
+        # later reds, which change nothing.  The run is only marked: it is
+        # rescheduled once, after every alignment at this time.
         if v == w:
             self.fs += 2
             self.fi += 2 * (self.bc[j] - self.rc[v])
         run = self.blue_run[j]
-        if run.env is not None:
+        if run.live:
             d = 2 if v == w else -2
-            run.env.add_range(0, j - run.bs + 1, -d, d * (self.rc[v] - self.bc[j]))
-            self._reschedule(run, t, 1)
+            db = d * (self.rc[v] - self.bc[j])
+            self.pa[j] -= d
+            self.pb[j] += db
+            if self.tree is not None:
+                self.tree.add_range(0, j + 1, -d, db)
+            if not run.marked:
+                run.marked = True
+                self.marked.append(run)
 
     def _handle_move(self, run: _Run, p, q):
-        rp, rq, j = run.event
+        rp, rq, j, line_a, line_b = run.event
         run.event = None
-        pos = j - run.bs
-        line_a, line_b, _ = run.env.get(pos)
+        bs, bt = run.bs, run.bt
         if self.check:
             assert (rp, rq) == (p, q) and line_a * p + line_b * q == 0
-            assert run.env.value_at(Fraction(p, q)) == 0
-            assert run.bs <= j <= run.bt
-            self.move_log.append((run.bs, run.bt, j))
+            assert min(a * p + b * q for a, b, _ in self._range_lines(bs, bt)) == 0
+            assert bs <= j <= bt
+            self.move_log.append((bs, bt, j))
         self.fs += line_a
         self.fi += line_b
-        bt = run.bt
         phi, rc = self.phi, self.rc
-        # shrink the source run; a run that moves whole is dropped, as its
-        # one queued event was just consumed
-        if pos > 0:
-            for _ in range(len(run.env) - pos):
-                run.env.remove(pos)
-            run.env.add_range(0, pos, -line_a, -line_b)
+        # shrink the source run: its pieces j..bt leave its suffix sums, which
+        # rebases the rest on line j; a run that moves whole is dropped, as
+        # its one queued event was just consumed
+        if j > bs:
             run.bt = j - 1
             self._reschedule(run, p, q)
         # slide: while the next free red lies below the next run and has the
-        # suffix's first coordinate, every switch line of the suffix is
+        # suffix's first coordinate, every switch piece of the suffix is
         # (0, 0), so a fresh run would pop its whole-run move at this same
         # time; count those moves, then shift the suffix once for all
         nxt = self.blue_run[bt + 1] if bt + 1 < self.m else None
@@ -247,7 +346,7 @@ class _Sweep:
             slid += 1
         if slid:
             if self.check:
-                # a switch line is (0, 0) exactly when a blue's red and the
+                # a switch piece is (0, 0) exactly when a blue's red and the
                 # next one are equal, so each step's lines are all (0, 0)
                 assert all(x == r0 for x in rc[first:top + slid + 1])
                 self.move_log.extend([(j, bt, j)] * slid)
@@ -255,15 +354,14 @@ class _Sweep:
         for k in range(j, bt + 1):
             phi[k] += 1 + slid
         # attach the moved suffix: merge with the next run when the red
-        # indices become consecutive, otherwise start a fresh run
+        # indices become consecutive, otherwise start a fresh run; either way
+        # only the moved blues get new pieces
         if nxt is not None and limit == phi[bt] + 1:
-            if nxt.env is not None:
-                base_a, base_b, _ = nxt.env.get(0)
-                for a, b, k in reversed(self._run_lines(j, bt, p // q, base_a, base_b)):
-                    nxt.env.insert(0, a, b, k)
             nxt.bs = j
             self.blue_run[j:bt + 1] = [nxt] * (bt - j + 1)
-            self._reschedule(nxt, p, q)
+            if nxt.live:
+                self._set_pieces(j, bt, p // q)
+                self._reschedule(nxt, p, q)
         else:
             self._make_run(j, bt, p, q)
 
@@ -271,7 +369,7 @@ class _Sweep:
 
     def run(self, collect_pieces: bool):
         m, n, bc, rc = self.m, self.n, self.bc, self.rc
-        phi, shift = self.phi, self.shift
+        phi, shift, marked = self.phi, self.shift, self.marked
         # entries (key, kind, blue or rid, red or epoch, p, q, run); each
         # blue's first alignment is with its own red
         self.heap = heap = []
@@ -284,9 +382,21 @@ class _Sweep:
         self._make_run(0, m - 1, t - 1, 1)
         prev_key, prev_p, prev_q = min((t << shift, t, 1), (heap[0][0], *heap[0][4:6]))
 
-        best_num = best_q = best_p = best_phi = None
+        # the cost fs*tau + fi is continuous, so it is compared once per event
+        # time, before that time's first event, as num/q by cross-
+        # multiplication; the best matching is copied only before the
+        # matching next changes, or at the end
+        best_num, best_p, best_q = self.fs * prev_p + self.fi * prev_q, prev_p, prev_q
+        best_phi, copy_due = None, True
         pieces = [] if collect_pieces else None
-        while heap:
+        key = p = None
+        while True:
+            # alignments at one time only mark their runs; each marked run is
+            # rescheduled once, before the first entry that is not one of them
+            if marked and (not heap or heap[0][0] != key or heap[0][1]):
+                self._reschedule_marked(p)
+            if not heap:
+                break
             key, kind, x, y, p, q, run = heapq.heappop(heap)
             if kind == 0:
                 w = phi[x]
@@ -302,21 +412,24 @@ class _Sweep:
                 if self.check:
                     self._verify_runs((prev_p * q + p * prev_q) // (2 * prev_q * q))
                 prev_key, prev_p, prev_q = key, p, q
-            # the cost fs*tau + fi as num/q, compared by cross-multiplication
-            num = self.fs * p + self.fi * q
-            if best_num is None or num * best_q < best_num * q:
-                best_num, best_q, best_p = num, q, p
-                best_phi = phi[:]
+                num = self.fs * p + self.fi * q
+                if num * best_q < best_num * q:
+                    best_num, best_q, best_p = num, q, p
+                    copy_due = True
             if kind == 0:
                 self.align_events += 1
                 if y <= w + 1:
-                    self._handle_alignment(x, y, w, p)
+                    self._handle_alignment(x, y, w)
                 if y + 1 < n:
                     t = rc[y + 1] - bc[x]
                     heapq.heappush(heap, (t << shift, 0, x, y + 1, t, 1, None))
             else:
+                if copy_due:
+                    best_phi, copy_due = phi[:], False
                 self.move_events += 1
                 self._handle_move(run, p, q)
+        if copy_due:
+            best_phi = phi[:]
         return best_num, best_p, best_q, best_phi, pieces
 
 
@@ -333,12 +446,12 @@ def emdut_1d_sweep(
 
     Returns (value, tau, matching) where tau is the smallest optimal
     translation; with ``return_stats=True`` a :class:`SweepStats` is
-    appended.  ``envelope`` picks the run envelope: ``naive`` runs the
-    list, ``tree`` the blocks of static envelopes.  ``check`` enables
-    internal invariant assertions.
+    appended.  ``envelope`` picks how run roots are found: ``naive`` scans
+    the run's switch pieces, ``tree`` queries one envelope of blocks of
+    static envelopes over all of them.  ``check`` enables internal
+    invariant assertions.
     """
-    envelope_cls = _ENVELOPES.get(envelope)
-    if envelope_cls is None:
+    if envelope not in _ENVELOPES:
         raise ValueError(
             f"unknown envelope kind {envelope!r}; expected one of "
             + ", ".join(_ENVELOPES)
@@ -352,7 +465,7 @@ def emdut_1d_sweep(
         return out
 
     bc, rc, border, rorder, denom = _sorted_frame(blue, red)
-    sweep = _Sweep(bc, rc, envelope_cls, check)
+    sweep = _Sweep(bc, rc, _ENVELOPES[envelope], check)
     best_num, best_p, best_q, best_phi, pieces = sweep.run(collect_pieces)
 
     assignment = [0] * m

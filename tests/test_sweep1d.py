@@ -6,6 +6,7 @@ import pytest
 
 from emdut.core import point_set_1d
 from emdut.emd import emd_1d_monotone
+from emdut.envelope import NaiveEnvelope, TreeEnvelope
 from emdut.hardness import OVInstance, has_orthogonal_pair, ov_reduction
 from emdut import sweep1d
 from emdut.sweep1d import (
@@ -134,6 +135,48 @@ def test_check_mode_holds_on_runs_longer_than_8_blues():
         assert max(bt - bs + 1 for bs, bt, _ in stats.moves) > 8
         cost = sum(abs(B.points[j][0] + tau - R.points[phi[j]][0]) for j in range(65))
         assert cost == value == emd_1d_monotone(B.translate((tau,)), R)[0]
+
+
+def test_naive_sweep_builds_no_envelope_and_tree_sweep_builds_one(monkeypatch):
+    # the list path queries the blues' switch pieces directly; the tree path
+    # keeps one envelope over all of them for the whole solve
+    built = []
+    for cls in (NaiveEnvelope, TreeEnvelope):
+        def spy(self, lines=(), init=cls.__init__, cls=cls):
+            built.append(cls)
+            init(self, lines)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    rng = random.Random(171)
+    instances = [(rand_ints_1d(rng, m, 0, 20 * m), rand_ints_1d(rng, 2 * m, 0, 20 * m))
+                 for m in (1, 5, 30, 65)]
+    gi = ov_reduction(_ov_instance(1091, 0.5))
+    for B, R in instances + [(gi.blue, gi.red)]:
+        built.clear()
+        *_, stats = emdut_1d_sweep(B, R, envelope="naive", return_stats=True)
+        assert built == [] and stats.reassignment_events > 0
+        emdut_1d_sweep(B, R, envelope="tree", check=True)
+        assert built == [TreeEnvelope]
+
+
+def _grid_family(m, seed=1):
+    # blues 10 apart, n = 2m reds at 10j + U[-2, 2]: the matching stays
+    # about one run of m blues, and nearly every event is an alignment
+    rng = random.Random(seed)
+    return (point_set_1d([10 * i for i in range(m)]),
+            point_set_1d([10 * j + rng.randint(-2, 2) for j in range(2 * m)]))
+
+
+def test_backends_agree_on_one_long_run_across_tree_blocks():
+    # m = 40: the tree holds its 40 lines in about 6 blocks, and the runs
+    # span most of them, so each root query cuts blocks and reads whole ones
+    B, R = _grid_family(40)
+    naive, tree = _both_backends(B, R, check=True)
+    assert naive == tree
+    value, tau, phi, stats = naive
+    assert max(bt - bs + 1 for bs, bt, _ in stats.moves) >= 30
+    assert stats.alignment_events > 0.9 * stats.events
+    assert value == emdut_1d_alignment_oracle(B, R)
 
 
 def test_sweep_rejects_unknown_envelope_kind():
