@@ -25,15 +25,7 @@ from .core import (
     serialize_point_set,
 )
 from .emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
-from .emdut_hd import (
-    BudgetExceeded,
-    Hyperplane,
-    arrangement_vertices,
-    candidate_translations,
-    emdut_hd,
-    hyperplanes_linf,
-    rotate_45_to_l1,
-)
+from .emdut_hd import BudgetExceeded, candidate_translations, emdut_hd
 from .envelope import NaiveEnvelope, TreeEnvelope
 from .hardness import (
     GadgetInstance,

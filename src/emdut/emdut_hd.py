@@ -33,19 +33,20 @@ never cut, and the lexicographically smallest optimal translation, in
 the original coordinates, is the one reported.
 
 Linf in dimension >= 3 evaluates the exact EMD at every vertex of the
-full arrangement, the points and all vertices on one integer frame, and
-solves the witness in that frame too.  A candidate budget, checked against the candidate
-count before anything is enumerated, guards both paths.
+full arrangement.  The points are framed once and doubled, so every
+vertex is an integer there (see ``_linf_vertices``); the vertices are
+found by fraction-free elimination on ints, and the costs and the
+witness are solved on that frame too.  A candidate budget, checked
+against the candidate count before anything is enumerated, guards both
+paths.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Optional, Sequence
 
 from .core import Metric, Point, PointSet, _int_str, point, zero_point
 from .emd import (
@@ -81,79 +82,74 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """The set {tau : normal . tau + offset = 0}, in canonical form."""
+def _linf_vertices(blue: PointSet, red: PointSet, budget: int):
+    """(vertices, bs, rs, den): the Linf arrangement's vertices, sorted, on one
+    integer frame with the points.
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-
-
-def _linf_families(blue: PointSet, red: PointSet):
-    """Yield (i, j, sign, offsets) for the Linf planes tau_i + sign*tau_j = c.
-
-    The axis families (i, i, 0) come first, then sign -1 and +1 for each
-    i < j; ``offsets`` is the set of distinct c.
+    The frame is ``emd._frame`` doubled.  The planes are tau_i + s*tau_j = c,
+    as (i, j, s, c): the axis families (i, i, 0) first, then s = -1 and +1
+    for each i < j, each family's distinct offsets c ascending.  Every normal
+    is e_i or e_i +/- e_j, so d independent planes are a signed graph in
+    which each component is a spanning tree plus one edge: a ground (axis)
+    edge gives the component determinant +/-1, an unbalanced cycle +/-2.
+    Every vertex is therefore half-integral on the frame and an integer on
+    the doubled one.
     """
     d = blue.dim
-    diffs = [[r[k] - b[k] for k in range(d)] for b in blue.points for r in red.points]
-    for i in range(d):
-        yield i, i, 0, {x[i] for x in diffs}
-    for i, j in itertools.combinations(range(d), 2):
-        for sign in (-1, 1):
-            yield i, j, sign, {x[i] + sign * x[j] for x in diffs}
-
-
-def hyperplanes_linf(blue: PointSet, red: PointSet) -> list[Hyperplane]:
-    """Axis alignments plus both sign resolutions of per-pair coordinate ties.
-
-    Per pair (b, r) and axes i < j, the loci |b_i + tau_i - r_i| =
-    |b_j + tau_j - r_j| contribute tau_i - tau_j = (r_i-b_i)-(r_j-b_j)
-    and tau_i + tau_j = (r_i-b_i)+(r_j-b_j).
-    """
-    _pair_sizes(blue, red)
-    d = blue.dim
-    planes = []
-    for i, j, sign, offsets in _linf_families(blue, red):
-        normal = tuple(Fraction(1 if k == i else sign if k == j else 0)
-                       for k in range(d))
-        planes += [Hyperplane(normal, -c) for c in sorted(offsets)]
-    return planes
-
-
-def _solve_intersection(planes: Sequence[Hyperplane], d: int) -> Optional[Point]:
-    """Unique solution of d hyperplane equations, or None when singular."""
-    rows = [list(p.normal) + [-p.offset] for p in planes]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if rows[r][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pr = rows[col]
-        inv = Fraction(1) / pr[col]
-        for k in range(col, d + 1):
-            pr[k] *= inv
-        for r in range(d):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                for k in range(col, d + 1):
-                    rows[r][k] -= factor * pr[k]
-    return tuple(rows[i][d] for i in range(d))
-
-
-def arrangement_vertices(
-    planes: Sequence[Hyperplane], dim: int, budget: int = DEFAULT_BUDGET
-) -> tuple[Point, ...]:
-    """All intersection points of dim independent hyperplanes, de-duplicated."""
-    subsets = math.comb(len(planes), dim)
+    # each of the d*d plane families holds at least one plane, so refuse
+    # at once when even C(d*d, d) vertex subsets exceed the budget
+    lower = math.comb(d * d, d)
+    if lower > budget:
+        err = BudgetExceeded(lower, budget)
+        err.args = (str(err).replace("needs", "needs at least", 1),)
+        raise err
+    bs, rs, _, den = _frame(blue, red)
+    bs = [[2 * x for x in b] for b in bs]
+    rs = [[2 * x for x in r] for r in rs]
+    diffs = [[y - x for x, y in zip(b, r)] for b in bs for r in rs]
+    families = [(i, i, 0) for i in range(d)] + [
+        (i, j, s) for i, j in itertools.combinations(range(d), 2) for s in (-1, 1)]
+    offsets = [sorted({x[i] + s * x[j] for x in diffs}) for i, j, s in families]
+    subsets = math.comb(sum(map(len, offsets)), d)
     if subsets > budget:
         raise BudgetExceeded(subsets, budget)
-    vertices = set()
-    for combo in itertools.combinations(planes, dim):
-        v = _solve_intersection(combo, dim)
-        if v is not None:
-            vertices.add(v)
-    return tuple(sorted(vertices))
+    planes = [(*f, c) for f, cs in zip(families, offsets) for c in cs]
+    vertices = {_vertex(combo) for combo in itertools.combinations(planes, d)}
+    vertices.discard(None)
+    return sorted(vertices), bs, rs, 2 * den
+
+
+def _vertex(planes):
+    """The int point where d planes (i, j, s, c) meet, or None when singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each step divides
+    exactly by the previous pivot, so every entry stays an integer minor,
+    and at the end every diagonal entry is the last pivot, the determinant
+    up to sign.  Coordinate k is then row k's right-hand side over it, an
+    exact division on the doubled frame.
+    """
+    d = len(planes)
+    rows = []
+    for i, j, s, c in planes:
+        row = [0] * (d + 1)
+        row[i] = 1
+        row[j] += s
+        row[d] = c
+        rows.append(row)
+    prev = 1
+    for k in range(d):
+        p = next((r for r in range(k, d) if rows[r][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        pivot = top[k]
+        for r, row in enumerate(rows):
+            if r != k:
+                f = row[k]
+                rows[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return tuple(row[d] // prev for row in rows)
 
 
 def _grid_frame(blue: PointSet, red: PointSet, metric: Metric):
@@ -293,7 +289,10 @@ def candidate_translations(
 
     For L1 and planar Linf this is the (rotated) offset grid in original
     coordinates; the solver walks it lazily and evaluates only the part
-    its lower bound cannot rule out.
+    its lower bound cannot rule out.  For Linf in d >= 3 it is every
+    vertex of the axis-plus-diagonal arrangement, which the solver
+    enumerates on ints on the points' doubled frame and evaluates in
+    full; here they are scaled back.
     """
     m, _ = _pair_sizes(blue, red)
     if m == 0:
@@ -306,19 +305,8 @@ def candidate_translations(
             tuple(Fraction(c, den) for c in _unrotate(tau, rotated))
             for tau in itertools.product(*offsets)
         ))
-    # each of the d*d plane families holds at least one plane, so refuse
-    # at once when even C(d*d, d) vertex subsets exceed the budget
-    lower = math.comb(d * d, d)
-    if lower > budget:
-        err = BudgetExceeded(lower, budget)
-        err.args = (str(err).replace("needs", "needs at least", 1),)
-        raise err
-    # count the planes before building any
-    planes = sum(len(offsets) for *_, offsets in _linf_families(blue, red))
-    subsets = math.comb(planes, d)
-    if subsets > budget:
-        raise BudgetExceeded(subsets, budget)
-    return arrangement_vertices(hyperplanes_linf(blue, red), d, budget)
+    vertices, _, _, den = _linf_vertices(blue, red, budget)
+    return tuple(tuple(Fraction(c, den) for c in v) for v in vertices)
 
 
 def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction:
@@ -361,32 +349,15 @@ def emdut_hd(
         tau, frame_tau, evaluated = _grid_search(bs, rs, offsets, rotated)
         frame_metric = Metric.L1
     else:
-        vertices = candidate_translations(blue, red, metric, budget)
+        vertices, bs, rs, den = _linf_vertices(blue, red, budget)
         candidates = evaluated = len(vertices)
-        # one frame for the points and every vertex: den > 0, so the smallest
-        # (frame cost, frame tau) is the smallest (cost, tau)
-        bs, rs, frame_vertices, den = _frame(blue, red, *vertices)
-        tau = frame_tau = min(frame_vertices, key=lambda t: (
-            _assignment_value(_cost_matrix(bs, rs, metric, t)), t))
+        # vertices ascend and min keeps the first of equal costs, so this is
+        # the smallest (frame cost, frame tau), and den > 0 keeps that order
+        tau = frame_tau = min(vertices, key=lambda t: _assignment_value(
+            _cost_matrix(bs, rs, metric, t)))
         frame_metric = metric
     best_tau = tuple(Fraction(c, den) for c in tau)
     # frame costs are den times the metric's: same witness, value total/den
     total, phi = _lex_min_assignment(_cost_matrix(bs, rs, frame_metric, frame_tau))
     out = Fraction(total, den), best_tau, tuple(phi)
     return (*out, candidates, evaluated) if return_stats else out
-
-
-def rotate_45_to_l1(ps: PointSet) -> PointSet:
-    """Planar change of coordinates under which Linf distances become L1.
-
-    (x, y) maps to ((x+y)/2, (x-y)/2); then for any two points the L1
-    distance of the images equals the Linf distance of the originals.
-    """
-    if ps.dim != 2:
-        raise ValueError("rotation requires 2-dimensional point sets")
-    return PointSet(
-        2,
-        tuple(
-            ((p[0] + p[1]) / 2, (p[0] - p[1]) / 2) for p in ps.points
-        ),
-    )

@@ -17,7 +17,7 @@ import pytest
 from emdut.cli import main as cli_main
 from emdut.core import Metric
 from emdut.emd import emd_1d_monotone, emd_bruteforce
-from emdut.emdut_hd import candidate_translations, emd_value_at, emdut_hd, rotate_45_to_l1
+from emdut.emdut_hd import candidate_translations, emd_value_at, emdut_hd
 from emdut.envelope import NaiveEnvelope, TreeEnvelope
 from emdut.hardness import (
     Graph,
@@ -33,6 +33,7 @@ from emdut.hardness import (
 from emdut.sweep1d import emdut_1d_alignment_oracle, emdut_1d_sweep, emdut_1d_symmetric
 
 from conftest import brute_force_1d_translated, rand_ints_1d, rand_points
+from oracles import rotate_45_to_l1
 
 
 def _report(num: int, text: str) -> None:

@@ -19,7 +19,6 @@ from emdut.emdut_hd import (
     candidate_translations,
     emd_value_at,
     emdut_hd,
-    hyperplanes_linf,
 )
 from emdut.sweep1d import emdut_1d_alignment_oracle, emdut_1d_sweep, emdut_1d_symmetric
 
@@ -325,7 +324,6 @@ _ENTRY_POINTS = {
     "emdut_hd": (lambda B, R: emdut_hd(B, R, Metric.LINF), False),
     "candidate_translations": (
         lambda B, R: candidate_translations(B, R, Metric.LINF), False),
-    "hyperplanes_linf": (hyperplanes_linf, False),
     "emdut_1d_symmetric": (emdut_1d_symmetric, True),
     "emdut_1d_alignment_oracle": (emdut_1d_alignment_oracle, True),
     "emdut_1d_sweep": (emdut_1d_sweep, True),

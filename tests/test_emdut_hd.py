@@ -8,20 +8,12 @@ import pytest
 
 from emdut.core import Metric, matching_cost, point_set, point_set_1d
 from emdut.emd import emd_bruteforce, emd_hungarian
-from emdut.emdut_hd import (
-    BudgetExceeded,
-    Hyperplane,
-    arrangement_vertices,
-    candidate_translations,
-    emd_value_at,
-    emdut_hd,
-    hyperplanes_linf,
-    rotate_45_to_l1,
-)
+from emdut.emdut_hd import BudgetExceeded, candidate_translations, emd_value_at, emdut_hd
 from emdut.hardness import Graph, clique_instance_value, clique_linf_sym, decomposed_value
 from emdut.sweep1d import emdut_1d_sweep
 
 from conftest import huge_lcm_points, rand_points
+from oracles import Hyperplane, arrangement_vertices, hyperplanes_linf, rotate_45_to_l1
 
 
 def test_hyperplanes_linf_examples():
@@ -144,6 +136,53 @@ def test_emdut_hd_linf_three_dimensional():
         )
         assert value == best
         assert matching_cost(B, R, Metric.LINF, phi, tau) == value
+
+
+def test_linf_candidates_equal_the_fraction_arrangement():
+    # The solver enumerates Linf vertices in d >= 3 on a doubled integer
+    # frame; the oracle intersects Fraction hyperplanes on the input itself.
+    # Both must give the same sorted tuple.
+    rng = random.Random(30)
+    coords = (
+        lambda: rng.randint(-5, 5),
+        lambda: F(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7))),  # coprime
+        lambda: rng.randint(-10**12, 10**12),
+    )
+    for case in range(15):
+        d = 3 if case < 12 else 4
+        m = rng.randint(1, 2) if d == 3 else 1
+        n = rng.randint(m, 2) if d == 3 else 1
+        coord = coords[case % 3]
+        B, R = ([tuple(coord() for _ in range(d)) for _ in range(size)]
+                for size in (m, n))
+        if case % 4 == 1:  # a blue point also among the reds
+            R[-1] = rng.choice(B)
+        B, R = point_set(d, B), point_set(d, R)
+        assert candidate_translations(B, R, Metric.LINF) == arrangement_vertices(
+            hyperplanes_linf(B, R), d)
+
+
+def test_linf_solid_half_integral_optimum_on_one_frame(monkeypatch):
+    # The optimum (1/2, 3/2, 5/2) is a vertex of an unbalanced cycle of
+    # planes, half-integral on the points' frame.  The solver frames the
+    # points once, and never together with a vertex.
+    hd = importlib.import_module("emdut.emdut_hd")
+    framed = []
+
+    def spy(blue, red, *extra):
+        framed.append(extra)
+        return real(blue, red, *extra)
+
+    real = hd._frame
+    monkeypatch.setattr(hd, "_frame", spy)
+    B = point_set(3, [(0, 0, 0), (1, 1, 0)])
+    R = point_set(3, [(1, 2, 3), (4, 0, -1), (2, 2, 2)])
+    value, tau, phi, candidates, evaluated = emdut_hd(B, R, Metric.LINF,
+                                                      return_stats=True)
+    assert (value, tau, phi) == (1, (F(1, 2), F(3, 2), F(5, 2)), (0, 2))
+    assert candidates == evaluated == 1062
+    assert framed == [()]
+    assert matching_cost(B, R, Metric.LINF, phi, tau) == value
 
 
 def _rational_planar(rng, count):
@@ -350,6 +389,10 @@ def test_solver_cost_matrices_hold_only_ints(monkeypatch):
     walk = {name: [] for name in ("_axis_table", "_add_rows", "_reduce_rows")}
     for name, out in walk.items():
         monkeypatch.setattr(modules[1], name, spy(getattr(modules[1], name), out))
+    # Linf in d >= 3 enumerates its vertices on the points' doubled frame
+    enumerated = []
+    monkeypatch.setattr(modules[1], "_linf_vertices",
+                        spy(modules[1]._linf_vertices, enumerated))
     planar_b = point_set(2, [(F(1, 3), F(-2, 7)), (F(5, 2), 0)])
     planar_r = point_set(2, [(F(4, 5), F(1, 9)), (2, F(-3, 4)), (F(7, 6), 3)])
     solid_b = point_set(3, [(F(1, 2), 0, F(2, 3))])
@@ -370,3 +413,6 @@ def test_solver_cost_matrices_hold_only_ints(monkeypatch):
     assert all(walk.values())
     assert all(type(c) is int for out in walk.values()
                for rows in out for row in rows for c in row)
+    assert enumerated and all(vertices for vertices, *_ in enumerated)
+    assert all(type(c) is int for vertices, *_ in enumerated
+               for v in vertices for c in v)
