@@ -26,7 +26,6 @@ from .core import (
 )
 from .emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
 from .emdut_hd import BudgetExceeded, candidate_translations, emdut_hd
-from .envelope import NaiveEnvelope, TreeEnvelope
 from .hardness import (
     GadgetInstance,
     Graph,

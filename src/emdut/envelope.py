@@ -1,14 +1,13 @@
-"""Lower envelopes of slope-ordered lines with positional updates.
+"""Reference lower envelopes of slope-ordered lines.
 
 Holds a sequence of lines ``L[0..k-1]`` whose slopes are non-decreasing
-with position, and answers queries about ``g(tau) = min_i L[i](tau)``:
+with position, and answers queries about the whole envelope
+``g(tau) = min_i L[i](tau)``:
 
 * ``value_at(tau)``     -- exact value of g at an int or ``Fraction`` tau,
-* ``root_piece(p0, q0, lo, hi)`` -- the smallest tau >= t0 = p0/q0
-  with g(tau) <= 0, as a pair (p, q) with q > 0, together with the tag
-  of the first line, in position order, whose value there is <= 0.
-  Here g is the envelope of the lines [lo, hi), each minus line hi
-  (minus nothing when hi = k); by default it is the whole envelope.  It
+* ``root_piece(p0, q0)`` -- the smallest tau >= t0 = p0/q0 with
+  g(tau) <= 0, as a pair (p, q) with q > 0, together with the tag of
+  the first line, in position order, whose value there is <= 0.  It
   needs q0 > 0.  When g(t0) <= 0 it returns t0 as passed; otherwise the
   root comes back in lowest terms.  With q0 < 0 the sign tests flip:
   ``NaiveEnvelope([(-2, 4, 0)]).root_piece(0, -1)`` returns ``(0, -1, 0)``
@@ -26,13 +25,12 @@ has the sign of slope*p + intercept*q.  Times are compared by
 cross-multiplication; ``value_at`` reads its argument's pair and builds
 the one value it returns from it.
 
-Two interchangeable implementations share that interface:
+Both classes are references; no production path runs either one:
 
 * :class:`NaiveEnvelope` keeps a plain list; every query is O(k).  It
-  is the reference the tree is tested against.  The sweep builds
-  neither class per run: its default path finds a run's root in one
-  pass over the run's switch pieces, which is this list's query on
-  lines it never stores.
+  is the reference the tree is tested against.  The sweep's default
+  path finds a run's root in one pass over the run's switch pieces,
+  which is this list's query on lines it never stores.
 * :class:`TreeEnvelope` cuts the positions into blocks of about sqrt(k)
   consecutive lines, each with its own static lower envelope: pieces in
   time order and the breaks between them.  A block that ``add_range``
@@ -40,13 +38,9 @@ Two interchangeable implementations share that interface:
   all of its lines moves no crossing of two of them, so its pieces and
   breaks stay valid.  An update rebuilds at most two blocks, O(sqrt(k))
   lines each, plus O(k) re-cuts, amortized O(sqrt(k)) per update; a
-  query binary-searches every block it covers whole and reads the lines
-  of the at most two blocks its range cuts, O(sqrt(k) log k).  The sweep
-  with ``envelope="tree"`` keeps one of these per solve, over the suffix
-  sums of all blues' switch pieces, as a differential reference.  A
-  balanced tree of envelopes would update in O(log^2 k), but no
-  production path runs this backend, and as a reference the simpler
-  structure serves better.
+  query binary-searches every block, O(sqrt(k) log k).  The sweep with
+  ``envelope="tree"`` builds one of these on a run's lines for each
+  root query, as a differential reference.
 
 The tag is an opaque payload (the sweep stores blue-point ids there) and
 plays no part in the geometry.  Callers keep the slope order; the
@@ -112,8 +106,8 @@ class _Block:
         self.pieces = hull
         self.breaks = [_isect(l1, l2) for l1, l2 in zip(hull, hull[1:])]
 
-    def line_at(self, t, fa, fb):
-        """The line of the piece active at time t, plus the offset (fa, fb)."""
+    def line_at(self, t):
+        """The line of the piece active at time t, offset included."""
         breaks = self.breaks
         lo, hi = 0, len(breaks)
         while lo < hi:
@@ -123,11 +117,12 @@ class _Block:
             else:
                 hi = mid
         a, b = self.pieces[lo]
-        return a + fa, b + fb
+        return a + self.fa, b + self.fb
 
-    def root_after(self, t0, fa, fb):
+    def root_after(self, t0):
         """The first root after t0 as an unreduced pair, or None; the
-        envelope plus the offset (fa, fb) must be > 0 at t0."""
+        envelope, offset included, must be > 0 at t0."""
+        fa, fb = self.fa, self.fb
         if self.pieces[-1][0] + fa >= 0:
             return None  # concave and never falling at the end: stays > 0
         # a concave envelope that is <= 0 at a break after t0 stays <= 0,
@@ -145,7 +140,8 @@ class _Block:
         a, b = pieces[lo]
         return b + fb, -(a + fa)
 
-    def first_tag_at_or_below_zero(self, t, fa, fb):
+    def first_tag_at_or_below_zero(self, t):
+        fa, fb = self.fa, self.fb
         for a, b, tag in self.lines:
             if (a + fa) * t[0] + (b + fb) * t[1] <= 0:
                 return tag
@@ -235,56 +231,29 @@ class TreeEnvelope:
         if not self._blocks:
             raise ValueError("envelope is empty")
         t = (tau.numerator, tau.denominator)
-        a, b = min((block.line_at(t, block.fa, block.fb) for block in self._blocks),
+        a, b = min((block.line_at(t) for block in self._blocks),
                    key=lambda line: _at(line, t))
         return a * tau + b
 
-    def _parts(self, lo: int, hi=None) -> list:
-        # (block, fa, fb) covering the lines [lo, hi) relative to line hi: a
-        # block inside the range keeps its envelope, a block the range cuts
-        # gives a throwaway block of the lines it holds inside the range
-        parts, start = [], 0
-        ba = bb = 0
-        for block in self._blocks:
-            end = start + len(block.lines)
-            if hi is not None and hi < end:
-                if hi >= start:
-                    a, b, _ = block.lines[hi - start]
-                    ba, bb = a + block.fa, b + block.fb
-                    if hi > max(lo, start):
-                        parts.append((_Block(block.lines[max(lo - start, 0):hi - start]),
-                                      block.fa, block.fb))
-                break
-            if lo < end:
-                if lo > start:
-                    parts.append((_Block(block.lines[lo - start:]), block.fa, block.fb))
-                else:
-                    parts.append((block, block.fa, block.fb))
-            start = end
-        return [(part, fa - ba, fb - bb) for part, fa, fb in parts]
-
-    def root_piece(self, p0: int, q0: int, lo: int = 0, hi=None):
+    def root_piece(self, p0: int, q0: int):
         """First tau >= p0/q0 (q0 > 0) with g(tau) <= 0, as (p, q, tag)
         with the tag of the first line, in position order, at or below zero
-        there; None when no such tau.  g is the envelope of the lines
-        [lo, hi), each minus line hi (minus nothing when hi is the line
-        count, its default)."""
-        parts = self._parts(lo, hi)
+        there; None when no such tau."""
         t0 = (p0, q0)
         best = None
-        for block, fa, fb in parts:
-            if _at(block.line_at(t0, fa, fb), t0) <= 0:
-                return p0, q0, block.first_tag_at_or_below_zero(t0, fa, fb)
-            root = block.root_after(t0, fa, fb)
+        for block in self._blocks:
+            if _at(block.line_at(t0), t0) <= 0:
+                return p0, q0, block.first_tag_at_or_below_zero(t0)
+            root = block.root_after(t0)
             if root is not None and (best is None or _lt(root, best)):
                 best = root
         if best is None:
             return None
         g = math.gcd(*best)
         t = best[0] // g, best[1] // g
-        for block, fa, fb in parts:
-            if _at(block.line_at(t, fa, fb), t) <= 0:
-                return t[0], t[1], block.first_tag_at_or_below_zero(t, fa, fb)
+        for block in self._blocks:
+            if _at(block.line_at(t), t) <= 0:
+                return t[0], t[1], block.first_tag_at_or_below_zero(t)
 
     def get(self, pos: int):
         i, pos = self._locate(pos)
@@ -330,19 +299,12 @@ class NaiveEnvelope:
         a, b, _ = min(self._lines, key=lambda line: _at(line, t))
         return a * tau + b
 
-    def root_piece(self, p0: int, q0: int, lo: int = 0, hi=None):
+    def root_piece(self, p0: int, q0: int):
         # A line above zero at t0 comes down to zero after it only if it
         # falls, at -b/a.  That root is kept as a pair (p, q) with q > 0 and
-        # compared by cross-multiplication.  Lines are read minus line hi.
-        lines = self._lines
-        if hi is None:
-            hi = len(lines)
-        ba, bb = lines[hi][:2] if hi < len(lines) else (0, 0)
+        # compared by cross-multiplication.
         best = None  # (p, q, tag): the first falling line with the smallest root
-        for i in range(lo, hi):
-            a, b, tag = lines[i]
-            a -= ba
-            b -= bb
+        for a, b, tag in self._lines:
             if a * p0 + b * q0 <= 0:
                 return p0, q0, tag
             if a < 0 and (best is None or b * best[1] < best[0] * -a):

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Metric, PointSet, point_set, point_set_1d
+from .core import Metric, PointSet, point, point_set, point_set_1d
 from .emd import _as_int_matrix, _assignment_value, _cost_matrix
 # _min_cost_assignment is unused here but kept importable: the benchmark's
 # tracer patches ``emdut.hardness._min_cost_assignment`` by name.
 from .emd import _min_cost_assignment  # noqa: F401
-from .emdut_hd import emdut_hd
+from .emdut_hd import DEFAULT_BUDGET, BudgetExceeded, emdut_hd
 from .sweep1d import emdut_1d_sweep
 
 OV_PAIR_GUARD = 4_000_000  # max |B|*|R| the 1D decision procedure accepts
@@ -456,12 +456,21 @@ def decomposed_value(
     """min over the candidate translations of the summed per-gadget EMD.
 
     Equals the true optimum whenever the candidate family contains an
-    optimal translation of the decomposed objective.  Points and
+    optimal translation of the decomposed objective.  Each candidate is
+    coerced like a point, so a float raises ``TypeError``; one of the wrong
+    dimension, or an empty family, raises ``ValueError``.  Points and
     candidates share one integer frame.  Candidates whose partial sum
     already exceeds the best so far are abandoned early.
     """
+    cands = [point(tau) for tau in candidates]
+    if not cands:
+        raise ValueError("the candidate family is empty")
+    dim = parts[0][0].dim if parts else len(cands[0])
+    for i, tau in enumerate(cands):
+        if len(tau) != dim:
+            raise ValueError(f"candidate {i} has {len(tau)} coordinates, expected {dim}")
     ints, den = _as_int_matrix(
-        [p for b, r in parts for p in b.points + r.points] + list(candidates))
+        [p for b, r in parts for p in b.points + r.points] + cands)
     rows = iter(ints)
     packed = [(list(itertools.islice(rows, len(b))), list(itertools.islice(rows, len(r))))
               for b, r in parts]
@@ -498,11 +507,15 @@ def clique_instance_value(gi: GadgetInstance) -> Fraction:
     summed gadget costs over the integer witness grid, which is not the
     EMDuT: it equals lam on yes-instances and is >= lam + 1 on
     no-instances by the construction (the full arrangement in dimension
-    2k+1 is far beyond any budget).
+    2k+1 is far beyond any budget).  The grid has N^k points; past
+    ``DEFAULT_BUDGET`` it raises :class:`BudgetExceeded` before the first.
     """
     if gi.metric is Metric.L1:
         return emdut_hd(gi.blue, gi.red, Metric.L1)[0]
-    cands = clique_witness_grid(gi.meta["k"], gi.meta["N"])
+    k, n_nodes = gi.meta["k"], gi.meta["N"]
+    if n_nodes**k > DEFAULT_BUDGET:
+        raise BudgetExceeded(n_nodes**k, DEFAULT_BUDGET)
+    cands = clique_witness_grid(k, n_nodes)
     return decomposed_value(gi.parts, gi.metric, cands)
 
 

@@ -56,9 +56,9 @@ from .envelope import TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
 # "naive" builds no envelope: a root query is one pass over the run's
-# pieces, and an alignment changes one piece.  "tree" keeps one blocked
-# envelope over the suffix sums of all pieces per solve, as a differential
-# reference that emits the same event log; each piece change is a prefix add.
+# pieces, and an alignment changes one piece.  "tree" answers each root
+# query with a blocked envelope built on the run's own lines, as a
+# differential reference that emits the same event log.
 _ENVELOPES = {"naive": None, "tree": TreeEnvelope}
 
 
@@ -130,10 +130,9 @@ class _Sweep:
     |x - r'| - |x - r| at x = bc[j] + tau of moving it from its red r to
     the next red r'.  A live run [bs, bt] moves the suffix from blue j on
     when the sum of the pieces j..bt falls to zero, so the run's envelope
-    lines are the suffix sums of its pieces; they are never stored.  With
-    a tree, ``self.tree`` holds the suffix sums of all m pieces, tagged by
-    blue, and a run's lines are its range minus line bt + 1.  Pieces are
-    kept current for the blues of live runs only.
+    lines are the suffix sums of its pieces, tagged by blue; they are never
+    stored, and the tree reference is built on them per root query.
+    Pieces are kept current for the blues of live runs only.
     """
 
     def __init__(self, bc, rc, envelope_cls, check: bool):
@@ -146,11 +145,8 @@ class _Sweep:
         self.phi = list(range(self.m))  # the matching: blue j -> red phi[j]
         self.pa = [0] * self.m  # switch piece slopes
         self.pb = [0] * self.m  # switch piece intercepts
-        self.tree = None
-        self._root = self._root_naive
-        if envelope_cls is not None:
-            self.tree = envelope_cls([(0, 0, j) for j in range(self.m)])
-            self._root = self._root_tree
+        self.envelope_cls = envelope_cls
+        self._root = self._root_naive if envelope_cls is None else self._root_tree
         self.blue_run = [None] * self.m  # blue j -> the _Run holding it
         self.marked = []  # runs whose pieces changed at the current alignment time
         self.next_rid = 0
@@ -167,9 +163,7 @@ class _Sweep:
         # floor_tau + 1; a piece changes only at integer times, where x
         # meets r or r', so floor(tau) selects it.  No blue here has the
         # last red, so r' exists.
-        phi, bc, rc, pa, pb, tree = self.phi, self.bc, self.rc, self.pa, self.pb, self.tree
-        if tree is not None:
-            old = list(zip(pa[lo:hi + 1], pb[lo:hi + 1]))
+        phi, bc, rc, pa, pb = self.phi, self.bc, self.rc, self.pa, self.pb
         for j in range(lo, hi + 1):
             v = phi[j]
             r, rp = rc[v], rc[v + 1]
@@ -184,11 +178,6 @@ class _Sweep:
             else:
                 pa[j] = 0
                 pb[j] = r - rp
-        if tree is not None:
-            # piece j is in the suffix sums of lines 0..j
-            for j, (a, b) in enumerate(old, lo):
-                if a != pa[j] or b != pb[j]:
-                    tree.add_range(0, j + 1, pa[j] - a, pb[j] - b)
 
     def _root_naive(self, bs, bt, p0, q0):
         # the envelopes' root rule on the run's lines, in one backward pass
@@ -215,21 +204,13 @@ class _Sweep:
         return root_p // g, root_q // g, root_j, root_a, root_b
 
     def _root_tree(self, bs, bt, p0, q0):
-        # the same rule and return, answered by the tree on its lines bs..bt
-        # minus line bt + 1
-        tree = self.tree
-        got = tree.root_piece(p0, q0, bs, bt + 1)
-        if got is None:
-            return None
-        a, b, _ = tree.get(got[2])
-        if bt + 1 < self.m:
-            base_a, base_b, _ = tree.get(bt + 1)
-            a -= base_a
-            b -= base_b
-        return (*got, a, b)
+        # the same rule and return, answered by a tree built on the run's lines
+        lines = self._range_lines(bs, bt)
+        got = self.envelope_cls(lines).root_piece(p0, q0)
+        return None if got is None else (*got, *lines[got[2] - bs][:2])
 
     def _range_lines(self, bs, bt):
-        # check-mode only: the run's lines, the suffix sums of its pieces
+        # the run's lines, the suffix sums of its pieces, tagged by blue
         out, a, b = [], 0, 0
         for j in range(bt, bs - 1, -1):
             a += self.pa[j]
@@ -266,10 +247,8 @@ class _Sweep:
     def _verify_runs(self, floor_tau):
         # check-mode only: each run matches its blues to consecutive reds and
         # is live unless its last red is the last one; a live run's pieces
-        # equal pieces recomputed from scratch strictly inside the current
-        # interval, and on the tree its range lines are their suffix sums
+        # equal pieces recomputed from scratch strictly inside the interval
         phi, j = self.phi, 0
-        tree_lines = None if self.tree is None else self.tree.lines() + [(0, 0, None)]
         while j < self.m:
             run = self.blue_run[j]
             bs, bt = run.bs, run.bt
@@ -286,11 +265,6 @@ class _Sweep:
                     a = (1 if x2 > rp2 else -1) - (1 if x2 > r2 else -1)
                     b2 = abs(x2 - rp2) - abs(x2 - r2) - a * t2
                     assert (self.pa[k], 2 * self.pb[k]) == (a, b2), (run.rid, k, a, b2)
-                if tree_lines is not None:
-                    base_a, base_b, _ = tree_lines[bt + 1]
-                    lines = [(a - base_a, b - base_b, tag)
-                             for a, b, tag in tree_lines[bs:bt + 1]]
-                    assert lines == self._range_lines(bs, bt), (run.rid, lines)
             j = bt + 1
 
     # -- event handlers -------------------------------------------------------
@@ -306,11 +280,8 @@ class _Sweep:
         run = self.blue_run[j]
         if run.live:
             d = 2 if v == w else -2
-            db = d * (self.rc[v] - self.bc[j])
             self.pa[j] -= d
-            self.pb[j] += db
-            if self.tree is not None:
-                self.tree.add_range(0, j + 1, -d, db)
+            self.pb[j] += d * (self.rc[v] - self.bc[j])
             if not run.marked:
                 run.marked = True
                 self.marked.append(run)
@@ -447,9 +418,10 @@ def emdut_1d_sweep(
     Returns (value, tau, matching) where tau is the smallest optimal
     translation; with ``return_stats=True`` a :class:`SweepStats` is
     appended.  ``envelope`` picks how run roots are found: ``naive`` scans
-    the run's switch pieces, ``tree`` queries one envelope of blocks of
-    static envelopes over all of them.  ``check`` enables internal
-    invariant assertions.
+    the run's switch pieces, ``tree`` builds a :class:`TreeEnvelope` on
+    the run's lines for each query, as a reference.  Both give the same
+    return, event log included.  ``check`` enables internal invariant
+    assertions.
     """
     if envelope not in _ENVELOPES:
         raise ValueError(

@@ -167,55 +167,38 @@ def test_tree_matches_naive_reference():
         _random_ops(800 + seed, 400, naive, tree, cuts=(0.2, 0.6), blocky=True)
 
 
-def test_range_root_query_equals_a_scan_of_the_range():
-    # root_piece(p0, q0, lo, hi) answers for the lines [lo, hi), each minus
-    # line hi (minus nothing when hi = k), after random op sequences like
-    # criterion 04's: the whole tail, ranges inside one of the tree's
-    # blocks, and ranges across several of them
+def test_root_query_equals_a_scan_of_the_lines():
+    # root_piece(p0, q0) answers for the whole envelope after random op
+    # sequences like criterion 04's, which leave the tree several blocks
     rng = random.Random(0x4A9E)
-    kinds = {"tail": 0, "one block": 0, "several blocks": 0}
+    kinds = {"at t0": 0, "after t0": 0}
     for seed in range(30):
         naive, tree = NaiveEnvelope(), TreeEnvelope()
-        k = _random_ops(1500 + seed, rng.choice((30, 120, 300)), naive, tree,
-                        cuts=(0.75, 0.85), blocky=True)
+        _random_ops(1500 + seed, rng.choice((30, 120, 300)), naive, tree,
+                    cuts=(0.75, 0.85), blocky=True)
         lines = naive.lines()
-        edges = list(itertools.accumulate(
-            (len(block.lines) for block in tree._blocks), initial=0))
         for _ in range(30):
-            kind = rng.choice(list(kinds))
-            if kind == "tail":
-                lo, hi = rng.randint(0, k), k
-            else:
-                i = rng.randrange(len(edges) - 1)
-                if kind == "one block":
-                    lo, hi = sorted(rng.sample(range(edges[i], edges[i + 1] + 1), 2))
-                elif len(edges) > 3 and i + 2 < len(edges) - 1:
-                    lo = rng.randrange(edges[i], edges[i + 1])
-                    hi = rng.randint(edges[i + 2] + 1, k)
-                else:
-                    continue
-            base = lines[hi][:2] if hi < k else (0, 0)
-            rel = [(a - base[0], b - base[1], tag) for a, b, tag in lines[lo:hi]]
-            # t0 anywhere or at a root of the range, where a line is zero;
+            # t0 anywhere or at a root of a line, where that line is zero;
             # half the time moved left until every line is > 0 there, if it
             # gets there, so that the root comes after t0
-            roots = [F(-b, a) for a, b, _ in rel if a]
+            roots = [F(-b, a) for a, b, _ in lines if a]
             if roots and rng.random() < 0.4:
                 t0 = rng.choice(roots)
             else:
                 t0 = F(rng.randint(-80, 80), rng.choice((1, 2)))
             for _ in range(12 if rng.random() < 0.5 else 0):
-                if all(a * t0 + b > 0 for a, b, _ in rel):
+                if all(a * t0 + b > 0 for a, b, _ in lines):
                     break
                 t0 = 2 * t0 - 10
-            want = _expected_root_piece(rel, t0)
+            want = _expected_root_piece(lines, t0)
             if want is not None:
                 want = (want[0].numerator, want[0].denominator, want[1])
             for env in (naive, tree):
-                got = env.root_piece(t0.numerator, t0.denominator, lo, hi)
-                assert got == want, (type(env).__name__, lo, hi, k, t0, got, want)
-            kinds[kind] += 1
-    assert min(kinds.values()) >= 150, kinds
+                got = env.root_piece(t0.numerator, t0.denominator)
+                assert got == want, (type(env).__name__, len(lines), t0, got, want)
+            kinds["at t0" if want[:2] == (t0.numerator, t0.denominator)
+                  else "after t0"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_add_range_leaves_the_given_list_snapshots_and_twins_alone():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import emdut.hardness as hardness
 from emdut.core import Metric, point_set
 from emdut.emd import emd_1d_monotone
-from emdut.emdut_hd import emdut_hd
+from emdut.emdut_hd import BudgetExceeded, emdut_hd
 from emdut.hardness import (
     Graph,
     OVInstance,
@@ -294,6 +295,31 @@ def test_clique_linf_lower_bound_sampled():
         for _ in range(60):
             tau = tuple(F(rng.randint(-12, 12), rng.choice([1, 2])) for _ in range(5))
             assert decomposed_value(gi.parts, Metric.LINF, [tau]) >= floor
+
+
+def test_decomposed_value_validates_its_candidates():
+    # candidates are coerced like points, and the family must be non-empty
+    # and match the parts' dimension
+    gi = clique_linf_sym(Graph.from_edges(2, [(1, 2)]), 2)
+    assert decomposed_value(gi.parts, Metric.LINF, [("1", "2", "1", "2", "0")]) == gi.lam
+    for empty in ([], iter(())):
+        with pytest.raises(ValueError, match="empty"):
+            decomposed_value(gi.parts, Metric.LINF, empty)
+    for tau in ((1, 2, 1, 2, 0, 0), (1, 2, 1, 2)):
+        with pytest.raises(ValueError, match="coordinates, expected 5"):
+            decomposed_value(gi.parts, Metric.LINF, [(1, 2, 1, 2, 0), tau])
+    with pytest.raises(TypeError):
+        decomposed_value(gi.parts, Metric.LINF, [(0.5, 2, 1, 2, 0)])
+
+
+def test_linf_sym_value_refuses_a_grid_past_the_budget_at_once():
+    # N^k = 60^4, about 1.3e7 witness-grid points, exceeds DEFAULT_BUDGET:
+    # walking them would take hours, so the value refuses before the first
+    t0 = time.perf_counter()
+    gi = clique_linf_sym(Graph.from_edges(60, [(1, 60)]), 4)
+    with pytest.raises(BudgetExceeded, match="needs 12960000 "):
+        clique_instance_value(gi)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_decide_clique_named_graphs():
