@@ -47,12 +47,20 @@ class InputError(ValueError):
     pass
 
 
-def _read_points(path: str) -> PointSet:
+def _read_text(path: str) -> str:
+    """The whole text of an input file; a file that cannot be read is an
+    input error naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_point_set(fh.read())
+            return fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _read_points(path: str) -> PointSet:
+    text = _read_text(path)
+    try:
+        return parse_point_set(text)
     except PointFormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -118,29 +126,21 @@ def _cmd_solve(args) -> int:
 
 def _read_vectors(path: str) -> tuple:
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(tuple(int(tok) for tok in line.split()))
-                except ValueError:
-                    raise InputError(f"{path}: line {line_no}: expected 0/1 entries")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rows.append(tuple(int(tok) for tok in line.split()))
+        except ValueError:
+            raise InputError(f"{path}: line {line_no}: expected 0/1 entries")
     if not rows:
         raise InputError(f"{path}: no vectors")
     return tuple(rows)
 
 
 def _read_graph(path: str) -> Graph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty graph file")
     try:

@@ -13,13 +13,19 @@ or exceeds it by at least 1 (no-instances):
 Each generator returns a :class:`GadgetInstance` carrying the combined
 point sets, the exact threshold, the unshifted gadget list, and every
 construction constant, so tests can recompute the threshold
-independently.  A clique generator counts its coordinates from k and
-|E| first and refuses more than ``CLIQUE_COORD_GUARD`` of them.  The
+independently.  The three clique generators share one construction
+frame.  It refuses k < 2, then a graph without edges, then more than
+``CLIQUE_COORD_GUARD`` coordinates, counted from k and |E| before any
+gadget is built.  It then adds two parts per coordinate pair, the blue
+side against the edge points on two bases, and combines them.  A
+variant states only its dimension, point count, threshold, blue side,
+high base and, for ``linf-sym``, the tethers placed first.  The
 decisions compare the EMDuT with the threshold:
 the 1D sweep solves OV instances, and :func:`emdut_hd` the combined L1
 clique instances.  ``linf-sym`` is beyond the solver, so its value is
 the witness-grid minimum of the summed gadget costs: >= lam + 1 on
-no-instances by the construction, but not the EMDuT.
+no-instances by the construction, but not the EMDuT.  It is refused
+when the grid needs more than ``DEFAULT_BUDGET`` part solves.
 """
 
 from __future__ import annotations
@@ -318,114 +324,101 @@ def _check_clique_size(points: int, d: int) -> None:
         )
 
 
-def clique_l1_asym(g: Graph, k: int) -> GadgetInstance:
-    """L1 instance in dimension k: one blue origin point per coordinate pair,
-    red points at the edge grid, plus a mirrored copy pinning the free
-    coordinates from above."""
+def _clique_frame(g: Graph, k: int, variant: str, metric: Metric, d: int, *,
+                  points, lam, blue_lists, high: int, tethers=list) -> GadgetInstance:
+    """The construction every clique generator shares.
+
+    It refuses k < 2, then a graph without edges, then an instance of
+    ``points(C(k, 2))`` points in dimension d past the size guard.  The
+    parts are ``tethers()``, then two per coordinate pair i < j: the two
+    blue lists of ``blue_lists(i, j)`` against the edge points on base 0
+    and on base ``high``.  An edge point has u at coordinate i, v at j
+    and the base elsewhere, doubled into i + k and j + k when d > k.
+    The threshold is ``lam(C(k, 2))``.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     if not g.edges:
         raise ValueError("graph has no edges; every decision is trivially no")
-    d = k
-    # two parts per coordinate pair: one origin blue and a red per edge
-    _check_clique_size(2 * math.comb(k, 2) * (1 + len(g.edges)), d)
-    n_nodes = g.n_nodes
-    origin = [tuple([0] * d)]
-    parts = []
+    pairs = math.comb(k, 2)
+    _check_clique_size(points(pairs), d)
+    edges = sorted(g.edges)
+    parts = tethers()
     for i, j in itertools.combinations(range(1, k + 1), 2):
-        reds = [_edge_point(d, i, j, u, v, 0, False, k) for u, v in sorted(g.edges)]
-        parts.append((point_set(d, origin), point_set(d, reds)))
-        reds_hi = [
-            _edge_point(d, i, j, u, v, n_nodes, False, k) for u, v in sorted(g.edges)
-        ]
-        parts.append((point_set(d, origin), point_set(d, reds_hi)))
-    lam = Fraction(math.comb(k, 2) * (d - 2) * n_nodes)
+        for blues, base in zip(blue_lists(i, j), (0, high)):
+            reds = [_edge_point(d, i, j, u, v, base, d > k, k) for u, v in edges]
+            parts.append((point_set(d, blues), point_set(d, reds)))
     blue, red, spacing = _combine(parts)
-    meta = {
-        "variant": "l1-asym", "k": k, "N": n_nodes, "d": d,
-        "edges": len(g.edges), "U": spacing,
-    }
-    return GadgetInstance(blue, red, lam, Metric.L1, tuple(parts), meta)
+    meta = {"variant": variant, "k": k, "N": g.n_nodes, "d": d,
+            "edges": len(g.edges), "U": spacing}
+    return GadgetInstance(blue, red, Fraction(lam(pairs)), metric, tuple(parts), meta)
+
+
+def clique_l1_asym(g: Graph, k: int) -> GadgetInstance:
+    """L1 instance in dimension k: one blue origin point per coordinate pair,
+    red points at the edge grid, plus a mirrored copy pinning the free
+    coordinates from above."""
+    return _clique_frame(
+        g, k, "l1-asym", Metric.L1, k, high=g.n_nodes,
+        # two parts per coordinate pair: one origin blue and a red per edge
+        points=lambda pairs: 2 * pairs * (1 + len(g.edges)),
+        lam=lambda pairs: pairs * (k - 2) * g.n_nodes,
+        blue_lists=lambda i, j: ([(0,) * k],) * 2)
 
 
 def clique_l1_sym(g: Graph, k: int) -> GadgetInstance:
     """Symmetric L1 instance in dimension 2k: the coordinate block is doubled
     and blue filler points balance the sizes, one per extra edge."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if not g.edges:
-        raise ValueError("graph has no edges; filler multiplicity |E|-1 is undefined")
-    d = 2 * k
-    n_nodes = g.n_nodes
-    m_edges = len(g.edges)
-    # two parts per coordinate pair, each |E| blues and |E| reds
-    _check_clique_size(4 * math.comb(k, 2) * m_edges, d)
-    parts = []
-    for i, j in itertools.combinations(range(1, k + 1), 2):
+    d, n_nodes, m_edges = 2 * k, g.n_nodes, len(g.edges)
+
+    def blue_lists(i, j):
+        # the origin, then |E| - 1 fillers: N at i and j, -N at i+k and j+k
         q = [0] * d
         q[i - 1] = q[j - 1] = n_nodes
         q[i + k - 1] = q[j + k - 1] = -n_nodes
-        neg_q = [-c for c in q]
-        blues = [tuple([0] * d)] + [tuple(q)] * (m_edges - 1)
-        blues_neg = [tuple([0] * d)] + [tuple(neg_q)] * (m_edges - 1)
-        reds = [_edge_point(d, i, j, u, v, 0, True, k) for u, v in sorted(g.edges)]
-        reds_hi = [
-            _edge_point(d, i, j, u, v, n_nodes, True, k) for u, v in sorted(g.edges)
-        ]
-        parts.append((point_set(d, blues), point_set(d, reds)))
-        parts.append((point_set(d, blues_neg), point_set(d, reds_hi)))
-    lam = Fraction(math.comb(k, 2) * ((d + 4) * m_edges - 8) * n_nodes)
-    blue, red, spacing = _combine(parts)
-    meta = {
-        "variant": "l1-sym", "k": k, "N": n_nodes, "d": d,
-        "edges": m_edges, "U": spacing,
-    }
-    return GadgetInstance(blue, red, lam, Metric.L1, tuple(parts), meta)
+        origin = (0,) * d
+        return ([origin] + [tuple(q)] * (m_edges - 1),
+                [origin] + [tuple(-c for c in q)] * (m_edges - 1))
+
+    return _clique_frame(
+        g, k, "l1-sym", Metric.L1, d, high=n_nodes, blue_lists=blue_lists,
+        # two parts per coordinate pair, each |E| blues and |E| reds
+        points=lambda pairs: 4 * pairs * m_edges,
+        lam=lambda pairs: pairs * ((d + 4) * m_edges - 8) * n_nodes)
 
 
 def clique_linf_sym(g: Graph, k: int) -> GadgetInstance:
     """Symmetric Linf instance in dimension 2k+1: per-coordinate tether
     gadgets force tau_i = tau_{i+k}, and edge gadgets charge 1 extra
     whenever the rounded pair is not an edge."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if not g.edges:
-        raise ValueError("graph has no edges; filler multiplicity |E|-1 is undefined")
-    d = 2 * k + 1
-    n_nodes = g.n_nodes
-    m_edges = len(g.edges)
-    # 4(k-1) two-point tethers per coordinate, then two parts per
-    # coordinate pair, each |E| blues and |E| reds
-    _check_clique_size(8 * k * (k - 1) + 4 * math.comb(k, 2) * m_edges, d)
-    big = 10 * n_nodes
-    parts = []
-    origin = [tuple([0] * d)]
-    for i in range(1, k + 1):
-        q = [0] * d
-        q[i - 1] = q[i + k - 1] = big
-        neg_q = tuple(-c for c in q)
-        for _ in range(2 * (k - 1)):
-            parts.append((point_set(d, origin), point_set(d, [tuple(q)])))
-            parts.append((point_set(d, origin), point_set(d, [neg_q])))
-    top = tuple([0] * (d - 1) + [big])
-    bottom = tuple([0] * (d - 1) + [-big])
-    for i, j in itertools.combinations(range(1, k + 1), 2):
+    d, m_edges, big = 2 * k + 1, len(g.edges), 10 * g.n_nodes
+
+    def tethers():
+        # 2(k-1) copies each of an origin blue against the red +-big at
+        # coordinates i and i+k
+        parts = []
+        for i in range(1, k + 1):
+            for c in [big, -big] * (2 * (k - 1)):
+                red = tuple(c if a in (i - 1, i + k - 1) else 0 for a in range(d))
+                parts.append((point_set(d, [(0,) * d]), point_set(d, [red])))
+        return parts
+
+    def blue_lists(i, j):
+        # b, then |E| - 1 fillers at +-big on the last axis
         b = [0] * d
         b[i - 1] = b[j - 1] = big
         b[i + k - 1] = b[j + k - 1] = -big
-        reds = [_edge_point(d, i, j, u, v, 0, True, k) for u, v in sorted(g.edges)]
-        blues = [tuple(b)] + [top] * (m_edges - 1)
-        blues_neg = [tuple(b)] + [bottom] * (m_edges - 1)
-        parts.append((point_set(d, blues), point_set(d, reds)))
-        parts.append((point_set(d, blues_neg), point_set(d, reds)))
-    lam = Fraction(20 * n_nodes * k * 2 * (k - 1)
-                   + 20 * n_nodes * m_edges * math.comb(k, 2))
-    blue, red, spacing = _combine(parts)
-    meta = {
-        "variant": "linf-sym", "k": k, "N": n_nodes, "d": d,
-        "edges": m_edges, "U": spacing,
-    }
-    return GadgetInstance(blue, red, lam, Metric.LINF, tuple(parts), meta)
+        zeros = (0,) * (d - 1)
+        return ([tuple(b)] + [zeros + (big,)] * (m_edges - 1),
+                [tuple(b)] + [zeros + (-big,)] * (m_edges - 1))
+
+    return _clique_frame(
+        g, k, "linf-sym", Metric.LINF, d, high=0, tethers=tethers,
+        blue_lists=blue_lists,
+        # 4(k-1) two-point tethers per coordinate, then two parts per
+        # coordinate pair, each |E| blues and |E| reds
+        points=lambda pairs: 8 * k * (k - 1) + 4 * pairs * m_edges,
+        lam=lambda pairs: 20 * g.n_nodes * (k * 2 * (k - 1) + m_edges * pairs))
 
 
 _CLIQUE_GENERATORS = {
@@ -507,14 +500,16 @@ def clique_instance_value(gi: GadgetInstance) -> Fraction:
     summed gadget costs over the integer witness grid, which is not the
     EMDuT: it equals lam on yes-instances and is >= lam + 1 on
     no-instances by the construction (the full arrangement in dimension
-    2k+1 is far beyond any budget).  The grid has N^k points; past
-    ``DEFAULT_BUDGET`` it raises :class:`BudgetExceeded` before the first.
+    2k+1 is far beyond any budget).  The grid has N^k points, and each
+    costs one EMD solve per part; when the N^k * len(parts) solves
+    exceed ``DEFAULT_BUDGET`` it raises :class:`BudgetExceeded`, naming
+    N^k against the budget's share per part, before the first point.
     """
     if gi.metric is Metric.L1:
         return emdut_hd(gi.blue, gi.red, Metric.L1)[0]
     k, n_nodes = gi.meta["k"], gi.meta["N"]
-    if n_nodes**k > DEFAULT_BUDGET:
-        raise BudgetExceeded(n_nodes**k, DEFAULT_BUDGET)
+    if n_nodes**k * len(gi.parts) > DEFAULT_BUDGET:
+        raise BudgetExceeded(n_nodes**k, DEFAULT_BUDGET // len(gi.parts))
     cands = clique_witness_grid(k, n_nodes)
     return decomposed_value(gi.parts, gi.metric, cands)
 

@@ -11,6 +11,7 @@ import pytest
 
 import emdut
 import emdut.cli as cli
+import emdut.hardness as hardness
 from emdut.cli import main
 from emdut.core import parse_point_set
 from emdut.hardness import OVInstance, ov_reduction
@@ -380,6 +381,59 @@ def test_gen_clique_files(capsys, tmp_path):
          "--graph", str(gf), "--out-prefix", prefix],
     )
     assert code == 2 and "edge" in err
+
+
+def test_gen_clique_refusals_exit_2_with_one_message(capsys, monkeypatch, tmp_path):
+    # the guard is lowered so that k = 3 trips it without building anything big
+    monkeypatch.setattr(hardness, "CLIQUE_COORD_GUARD", 50)
+    edgeless = tmp_path / "e.txt"
+    edgeless.write_text("3\n")
+    path = tmp_path / "p.txt"
+    path.write_text("3\n1 2\n2 3\n")
+    prefix = str(tmp_path / "c")
+    # 3-node path, k = 3: points * d for each variant
+    for variant, coords in (("l1-asym", 54), ("l1-sym", 144), ("linf-sym", 504)):
+        for graph, k, message in (
+            (edgeless, 3, "graph has no edges; every decision is trivially no"),
+            (path, 1, "k must be >= 2"),
+            (path, 3, f"has {coords} coordinates, exceeding the generator guard of 50"),
+        ):
+            code, out, err = run(capsys, ["gen", "clique", "--variant", variant,
+                                          "--k", str(k), "--graph", str(graph),
+                                          "--out-prefix", prefix])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.endswith(f"{message}\n")
+            assert err.count("\n") == 1
+    assert not list(tmp_path.glob("c_*"))
+
+
+def test_unreadable_or_malformed_inputs_exit_2_naming_the_file(capsys, tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("1 0\n0 1\n")
+    bad_rows = tmp_path / "rows.txt"
+    bad_rows.write_text("1 0\n\n1 x\n")
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n")
+    missing = tmp_path / "missing.txt"
+    out_prefix = ["--out-prefix", str(tmp_path / "o")]
+    cases = [
+        (["solve", "emdut1d", "--blue", str(missing), "--red", str(good)],
+         f"{missing}: No such file or directory"),
+        (["solve", "emdut1d", "--blue", str(tmp_path), "--red", str(good)],
+         f"{tmp_path}: Is a directory"),
+        (["gen", "ov", "--vectors", str(good), str(missing), *out_prefix],
+         f"{missing}: No such file or directory"),
+        (["gen", "ov", "--vectors", str(bad_rows), str(good), *out_prefix],
+         f"{bad_rows}: line 3: expected 0/1 entries"),
+        (["gen", "ov", "--vectors", str(good), str(blank), *out_prefix],
+         f"{blank}: no vectors"),
+        (["gen", "clique", "--variant", "l1-asym", "--k", "2", "--graph", str(missing),
+          *out_prefix], f"{missing}: No such file or directory"),
+        (["gen", "clique", "--variant", "l1-asym", "--k", "2", "--graph", str(blank),
+          *out_prefix], f"{blank}: empty graph file"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_gen_then_solve_round_trip(capsys, tmp_path):

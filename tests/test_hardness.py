@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -6,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 import emdut.hardness as hardness
-from emdut.core import Metric, point_set
+from emdut.core import Metric, point_set, serialize_point_set
 from emdut.emd import emd_1d_monotone
-from emdut.emdut_hd import BudgetExceeded, emdut_hd
+from emdut.emdut_hd import DEFAULT_BUDGET, BudgetExceeded, emdut_hd
 from emdut.hardness import (
     Graph,
     OVInstance,
@@ -231,6 +232,58 @@ def test_combined_value_splits_over_gadgets():
         assert whole == split
 
 
+# Graphs on 2..5 nodes that the clique generators are pinned on, each with
+# k = 2, 3 and 4 (k may exceed the node count; the generators still build)
+PINNED_GRAPHS = (
+    (2, [(1, 2)]),
+    (3, [(1, 2), (2, 3)]),
+    (3, [(1, 2), (1, 3), (2, 3)]),
+    (4, [(1, 2), (1, 3), (1, 4)]),
+    (4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),
+    (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+)
+# OV vector sets: two vectors per side gain the all-ones padding, three do not
+PINNED_OV = (
+    (((1, 0), (0, 1)), ((0, 1), (1, 1))),
+    (((1, 0), (1, 1), (0, 1)), ((0, 1), (1, 1), (1, 0))),
+    (((1,),), ((0,),)),
+    (((1, 0, 1), (0, 1, 1), (1, 1, 0)), ((1, 1, 1), (0, 0, 1), (1, 0, 0))),
+)
+# sha256 of every instance below, as the generators produced them when this
+# test was written: a change that moves a point, a part, lam or a meta entry
+# fails here
+PINNED_SHA = {
+    "l1-asym": "afd8d343ca02c37813b4d98dd49f1098be671f8ebe6fe058729f4c99adb5efd1",
+    "l1-sym": "5cdd3636a6fc50f5d312f01c2685e62f18740fe1233fe59cbfe6538216c16024",
+    "linf-sym": "97e90095ea20f1f1b7d6e8a2dc6deb015908adf051e1832403caeab2ed09dbd8",
+    "ov": "8e9600ff690783d3773bf3e832f11b6d719d9e900bbcd4ca939fd133aa84a150",
+}
+
+
+def _instance_digest(instances):
+    sha = hashlib.sha256()
+    for gi in instances:
+        texts = [serialize_point_set(gi.blue), serialize_point_set(gi.red),
+                 f"{gi.lam}\n", f"{sorted(gi.meta.items())!r}\n"]
+        texts += [serialize_point_set(ps) for part in gi.parts for ps in part]
+        for text in texts:
+            sha.update(text.encode())
+    return sha.hexdigest()
+
+
+def test_generated_instances_are_pinned():
+    digests = {
+        variant: _instance_digest(
+            make(Graph.from_edges(n, edges), k)
+            for n, edges in PINNED_GRAPHS for k in (2, 3, 4))
+        for variant, make in (("l1-asym", clique_l1_asym), ("l1-sym", clique_l1_sym),
+                              ("linf-sym", clique_linf_sym))
+    }
+    digests["ov"] = _instance_digest(
+        ov_reduction(OVInstance(xs, ys)) for xs, ys in PINNED_OV)
+    assert digests == PINNED_SHA
+
+
 def test_clique_l1_asym_cases():
     tri = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     gi = clique_l1_asym(tri, 3)
@@ -318,6 +371,17 @@ def test_linf_sym_value_refuses_a_grid_past_the_budget_at_once():
     t0 = time.perf_counter()
     gi = clique_linf_sym(Graph.from_edges(60, [(1, 60)]), 4)
     with pytest.raises(BudgetExceeded, match="needs 12960000 "):
+        clique_instance_value(gi)
+    assert time.perf_counter() - t0 < 2
+
+
+def test_linf_sym_value_counts_part_solves_against_the_budget():
+    # 100^3 = 1e6 grid points fit DEFAULT_BUDGET, but each costs one solve per
+    # part, 30 of them here: about 6 minutes of solves, so the value refuses
+    t0 = time.perf_counter()
+    gi = clique_linf_sym(Graph.from_edges(100, [(1, 100)]), 3)
+    assert len(gi.parts) == 30 and 100**3 <= DEFAULT_BUDGET
+    with pytest.raises(BudgetExceeded, match="needs 1000000 .* budget of 333333$"):
         clique_instance_value(gi)
     assert time.perf_counter() - t0 < 2
 
