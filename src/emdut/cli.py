@@ -3,7 +3,9 @@
 Solve results go to stdout as a single JSON object with exact rational
 values rendered as reduced "p" or "p/q" strings.  Exit codes: 0 on
 success, 1 when a candidate budget is exhausted, 2 on bad input (with a
-one-line diagnostic on stderr).
+one-line diagnostic on stderr).  Bad input is any ``ValueError``, from
+the readers here (their messages name the file) or from the library;
+:func:`main` alone turns it and ``BudgetExceeded`` into exit codes.
 """
 
 from __future__ import annotations
@@ -43,18 +45,14 @@ EXIT_BUDGET = 1
 EXIT_INPUT = 2
 
 
-class InputError(ValueError):
-    pass
-
-
 def _read_text(path: str) -> str:
     """The whole text of an input file; a file that cannot be read is an
-    input error naming the path."""
+    ``ValueError`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _read_points(path: str) -> PointSet:
@@ -62,7 +60,7 @@ def _read_points(path: str) -> PointSet:
     try:
         return parse_point_set(text)
     except PointFormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(payload) -> None:
@@ -70,46 +68,34 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _matching_pairs(phi) -> list:
-    return [[b, r] for b, r in enumerate(phi)]
-
-
 def _cmd_solve(args) -> int:
     blue = _read_points(args.blue)
     red = _read_points(args.red)
     t0 = time.perf_counter()
     stats = {"events": None, "candidates": None, "evaluated": None}
-    translation = None
-    if args.solver == "emd":
-        metric = Metric.parse(args.metric)
-        if args.algorithm == "monotone":
-            value, phi = emd_1d_monotone(blue, red)
-        elif args.algorithm == "bruteforce":
-            value = emd_bruteforce(blue, red, metric)
-            phi = None
-        else:
-            value, phi = emd_hungarian(blue, red, metric)
-        algorithm = args.algorithm
-    elif args.solver == "emdut1d":
-        if args.algorithm == "symmetric":
-            value, tau, phi = emdut_1d_symmetric(blue, red)
-            translation = (tau,)
-        elif args.algorithm == "oracle":
-            value = emdut_1d_alignment_oracle(blue, red)
-            phi = None
-            translation = None
-        else:
-            value, tau, phi, sw = emdut_1d_sweep(blue, red, return_stats=True)
-            translation = (tau,)
-            stats["events"] = sw.events
-        algorithm = args.algorithm
-    else:  # emdut-hd
-        metric = Metric.parse(args.metric)
-        value, tau, phi, stats["candidates"], stats["evaluated"] = emdut_hd(
+    metric = Metric.parse(args.metric) if "metric" in args else None
+    algorithm = getattr(args, "algorithm", None)
+    translation = phi = None
+    if args.solver == "emdut-hd":
+        value, translation, phi, stats["candidates"], stats["evaluated"] = emdut_hd(
             blue, red, metric, args.budget, return_stats=True
         )
-        translation = tau
         algorithm = f"arrangement-{metric.value}"
+    elif algorithm == "hungarian":
+        value, phi = emd_hungarian(blue, red, metric)
+    elif algorithm == "monotone":
+        value, phi = emd_1d_monotone(blue, red)
+    elif algorithm == "bruteforce":
+        value = emd_bruteforce(blue, red, metric)
+    elif algorithm == "sweep":
+        value, tau, phi, sw = emdut_1d_sweep(blue, red, return_stats=True)
+        translation = (tau,)
+        stats["events"] = sw.events
+    elif algorithm == "symmetric":
+        value, tau, phi = emdut_1d_symmetric(blue, red)
+        translation = (tau,)
+    else:
+        value = emdut_1d_alignment_oracle(blue, red)
     stats["millis"] = round((time.perf_counter() - t0) * 1000, 3)
     payload = {
         "value": format_scalar(value),
@@ -119,7 +105,7 @@ def _cmd_solve(args) -> int:
     if translation is not None:
         payload["translation"] = [format_scalar(t) for t in translation]
     if phi is not None:
-        payload["matching"] = _matching_pairs(phi)
+        payload["matching"] = [[b, r] for b, r in enumerate(phi)]
     _emit(payload)
     return EXIT_OK
 
@@ -133,74 +119,58 @@ def _read_vectors(path: str) -> tuple:
         try:
             rows.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
-            raise InputError(f"{path}: line {line_no}: expected 0/1 entries")
+            raise ValueError(f"{path}: line {line_no}: expected 0/1 entries")
     if not rows:
-        raise InputError(f"{path}: no vectors")
+        raise ValueError(f"{path}: no vectors")
     return tuple(rows)
 
 
 def _read_graph(path: str) -> Graph:
     lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines:
-        raise InputError(f"{path}: empty graph file")
+        raise ValueError(f"{path}: empty graph file")
     try:
         n_nodes = int(lines[0])
         edges = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
         if any(len(e) != 2 for e in edges):
             raise ValueError
     except ValueError:
-        raise InputError(f"{path}: expected 'N' then 'u v' edge lines")
+        raise ValueError(f"{path}: expected 'N' then 'u v' edge lines")
     try:
         return Graph.from_edges(n_nodes, edges)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _meta_json(meta: dict) -> dict:
-    out = {}
-    for key, val in meta.items():
-        if isinstance(val, Fraction):
-            out[key] = format_scalar(val)
-        elif isinstance(val, tuple):
-            out[key] = [list(v) if isinstance(v, tuple) else v for v in val]
-        else:
-            out[key] = val
-    return out
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
     if args.family == "ov":
         xs = _read_vectors(args.vectors[0])
         ys = _read_vectors(args.vectors[1])
-        try:
-            gi = ov_reduction(OVInstance(xs, ys))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        gi = ov_reduction(OVInstance(xs, ys))
     else:
         graph = _read_graph(args.graph)
-        try:
-            gi = clique_instance(graph, args.k, args.variant)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        gi = clique_instance(graph, args.k, args.variant)
     prefix = args.out_prefix
-    blue_path = f"{prefix}_blue.txt"
-    red_path = f"{prefix}_red.txt"
-    meta_path = f"{prefix}_meta.json"
+    # json writes the tuples of meta as lists; only Fractions need a format
+    params = {key: format_scalar(val) if isinstance(val, Fraction) else val
+              for key, val in gi.meta.items()}
     sidecar = {
         "lambda": format_scalar(gi.lam),
         "metric": gi.metric.value,
-        "params": _meta_json(gi.meta),
+        "params": params,
+    }
+    texts = {
+        f"{prefix}_blue.txt": serialize_point_set(gi.blue),
+        f"{prefix}_red.txt": serialize_point_set(gi.red),
+        f"{prefix}_meta.json": json.dumps(sidecar, indent=2) + "\n",
     }
     try:
-        with open(blue_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_point_set(gi.blue))
-        with open(red_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_point_set(gi.red))
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        for path, text in texts.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise InputError(f"{exc.filename or prefix}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{exc.filename or prefix}: {exc.strerror or exc}") from exc
+    blue_path, red_path, meta_path = texts
     _emit({"blue": blue_path, "red": red_path, "meta": meta_path,
            "points": [len(gi.blue), len(gi.red)]})
     return EXIT_OK
@@ -219,9 +189,9 @@ def _cmd_bench(args) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok]
     except ValueError:
-        raise InputError(f"bad --sizes {args.sizes!r}")
+        raise ValueError(f"bad --sizes {args.sizes!r}")
     if not sizes or any(s < 1 for s in sizes):
-        raise InputError("--sizes needs positive integers")
+        raise ValueError("--sizes needs positive integers")
     sys.stdout.write("n,m,events,millis\n")
     for size in sizes:
         blue, red = bench_instance(size, args.seed)
@@ -242,25 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance from point-set files")
     solve_sub = solve.add_subparsers(dest="solver", required=True)
-    for name in ("emd", "emdut1d", "emdut-hd"):
+    for name, algorithms in (("emd", ("hungarian", "monotone", "bruteforce")),
+                             ("emdut1d", ("sweep", "symmetric", "oracle")),
+                             ("emdut-hd", ())):
         sp = solve_sub.add_parser(name)
         sp.add_argument("--blue", required=True, help="blue point-set file")
         sp.add_argument("--red", required=True, help="red point-set file")
-        if name == "emd":
+        if name != "emdut1d":
             sp.add_argument("--metric", default="l1", help="l1 or linf")
-            sp.add_argument(
-                "--algorithm",
-                default="hungarian",
-                choices=["hungarian", "monotone", "bruteforce"],
-            )
-        elif name == "emdut1d":
-            sp.add_argument(
-                "--algorithm",
-                default="sweep",
-                choices=["sweep", "symmetric", "oracle"],
-            )
+        if algorithms:
+            sp.add_argument("--algorithm", default=algorithms[0], choices=algorithms)
         else:
-            sp.add_argument("--metric", default="l1", help="l1 or linf")
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                             help="candidate-enumeration budget")
 
@@ -309,7 +271,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

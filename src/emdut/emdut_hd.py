@@ -212,7 +212,7 @@ def _dual_bound(reduced, table, v_sum: int) -> int:
 
 
 def _grid_search(bs, rs, offsets, rotated: bool):
-    """(tau, frame_tau, evaluated): the optimum, unrotated and in the frame.
+    """(tau, cost, evaluated): the optimum, unrotated, and its frame cost matrix.
 
     Branch and bound over the offset product with the separable bound
     sum_a g_a(tau_a), then at each leaf with the dual bound of the last
@@ -229,7 +229,7 @@ def _grid_search(bs, rs, offsets, rotated: bool):
     rest = [0] * (d + 1)  # rest[a]: sum of the smallest bounds of axes a..
     for a in range(d - 1, -1, -1):
         rest[a] = rest[a + 1] + orders[a][0][0]
-    best_v = best_tau = best_frame = None
+    best_v = best_tau = best_cost = None
     evaluated = 0
     tables = [{} for _ in offsets]  # axis -> offset -> table, within the cap
     size = len(bs) * len(rs)
@@ -273,13 +273,13 @@ def _grid_search(bs, rs, offsets, rotated: bool):
             if _dual_bound(reduced, dist, v_sum) > best_v:
                 continue
         evaluated += 1
-        v, _, duals = _min_cost_assignment(_add_rows(rows[a], dist))
+        cost = _add_rows(rows[a], dist)
+        v, _, duals = _min_cost_assignment(cost)
         v_sum, reduced = sum(duals), None
-        frame = tuple(tau)
-        orig = _unrotate(frame, rotated)
+        orig = _unrotate(tuple(tau), rotated)
         if best_v is None or v < best_v or (v == best_v and orig < best_tau):
-            best_v, best_tau, best_frame = v, orig, frame
-    return best_tau, best_frame, evaluated
+            best_v, best_tau, best_cost = v, orig, cost
+    return best_tau, best_cost, evaluated
 
 
 def candidate_translations(
@@ -346,18 +346,16 @@ def emdut_hd(
     if metric is Metric.L1 or d <= 2:
         bs, rs, den, rotated = _grid_frame(blue, red, metric)
         offsets, candidates = _grid_offsets(bs, rs, budget)
-        tau, frame_tau, evaluated = _grid_search(bs, rs, offsets, rotated)
-        frame_metric = Metric.L1
+        tau, cost, evaluated = _grid_search(bs, rs, offsets, rotated)
     else:
         vertices, bs, rs, den = _linf_vertices(blue, red, budget)
         candidates = evaluated = len(vertices)
         # vertices ascend and min keeps the first of equal costs, so this is
         # the smallest (frame cost, frame tau), and den > 0 keeps that order
-        tau = frame_tau = min(vertices, key=lambda t: _assignment_value(
-            _cost_matrix(bs, rs, metric, t)))
-        frame_metric = metric
+        tau, cost = min(((t, _cost_matrix(bs, rs, metric, t)) for t in vertices),
+                        key=lambda tc: _assignment_value(tc[1]))
     best_tau = tuple(Fraction(c, den) for c in tau)
     # frame costs are den times the metric's: same witness, value total/den
-    total, phi = _lex_min_assignment(_cost_matrix(bs, rs, frame_metric, frame_tau))
+    total, phi = _lex_min_assignment(cost)
     out = Fraction(total, den), best_tau, tuple(phi)
     return (*out, candidates, evaluated) if return_stats else out

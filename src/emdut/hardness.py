@@ -25,7 +25,8 @@ the 1D sweep solves OV instances, and :func:`emdut_hd` the combined L1
 clique instances.  ``linf-sym`` is beyond the solver, so its value is
 the witness-grid minimum of the summed gadget costs: >= lam + 1 on
 no-instances by the construction, but not the EMDuT.  It is refused
-when the grid needs more than ``DEFAULT_BUDGET`` part solves.
+when the grid needs more than ``DEFAULT_BUDGET`` part solves, and the
+grid is drawn lazily, a fixed-size chunk of points at a time.
 """
 
 from __future__ import annotations
@@ -441,6 +442,11 @@ def clique_instance(g: Graph, k: int, variant: str) -> GadgetInstance:
 # ---------------------------------------------------------------------------
 
 
+# Candidates decomposed_value frames and solves at a time: one chunk's
+# points and int matrix are all it holds, however long the family
+_CANDIDATE_CHUNK = 4096
+
+
 def decomposed_value(
     parts: Sequence[tuple[PointSet, PointSet]],
     metric: Metric,
@@ -451,33 +457,41 @@ def decomposed_value(
     Equals the true optimum whenever the candidate family contains an
     optimal translation of the decomposed objective.  Each candidate is
     coerced like a point, so a float raises ``TypeError``; one of the wrong
-    dimension, or an empty family, raises ``ValueError``.  Points and
-    candidates share one integer frame.  Candidates whose partial sum
-    already exceeds the best so far are abandoned early.
+    dimension, or an empty family, raises ``ValueError``.  The candidates
+    are drawn ``_CANDIDATE_CHUNK`` at a time, and each chunk shares one
+    integer frame with the points, so a lazy family such as
+    :func:`clique_witness_grid` is never held whole.  Candidates whose
+    partial sum already exceeds the best so far are abandoned early.
     """
-    cands = [point(tau) for tau in candidates]
-    if not cands:
-        raise ValueError("the candidate family is empty")
-    dim = parts[0][0].dim if parts else len(cands[0])
-    for i, tau in enumerate(cands):
-        if len(tau) != dim:
-            raise ValueError(f"candidate {i} has {len(tau)} coordinates, expected {dim}")
-    ints, den = _as_int_matrix(
-        [p for b, r in parts for p in b.points + r.points] + cands)
-    rows = iter(ints)
-    packed = [(list(itertools.islice(rows, len(b))), list(itertools.islice(rows, len(r))))
-              for b, r in parts]
+    points = [p for b, r in parts for p in b.points + r.points]
+    dim = parts[0][0].dim if parts else None
+    stream = iter(candidates)
     best = None
-    for tau in rows:  # the candidates, after every part's points
-        total = 0
-        for blues, reds in packed:
-            total += _assignment_value(_cost_matrix(blues, reds, metric, tau))
-            if best is not None and total > best:
-                break
-        else:
-            if best is None or total < best:
-                best = total
-    return Fraction(best, den)
+    drawn = 0
+    while chunk := [point(tau) for tau in itertools.islice(stream, _CANDIDATE_CHUNK)]:
+        dim = len(chunk[0]) if dim is None else dim
+        for i, tau in enumerate(chunk, start=drawn):
+            if len(tau) != dim:
+                raise ValueError(f"candidate {i} has {len(tau)} coordinates, expected {dim}")
+        drawn += len(chunk)
+        ints, den = _as_int_matrix(points + chunk)
+        rows = iter(ints)
+        packed = [(list(itertools.islice(rows, len(b))), list(itertools.islice(rows, len(r))))
+                  for b, r in parts]
+        cut = None if best is None else best * den  # best on this chunk's frame
+        for tau in rows:  # the chunk's candidates, after every part's points
+            total = 0
+            for blues, reds in packed:
+                total += _assignment_value(_cost_matrix(blues, reds, metric, tau))
+                if cut is not None and total > cut:
+                    break
+            else:
+                if cut is None or total < cut:
+                    cut = total
+        best = Fraction(cut) / den
+    if best is None:
+        raise ValueError("the candidate family is empty")
+    return best
 
 
 def clique_witness_grid(k: int, n_nodes: int):

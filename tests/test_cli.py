@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -481,3 +482,118 @@ def test_bench_instances_depend_on_seed():
     b6, r6 = bench_instance(40, 6)
     assert (b5, r5) != (b6, r6)
     assert (b5, r5) == bench_instance(40, 5)
+
+
+def test_every_solve_gen_and_error_output_is_pinned(capsys, monkeypatch, tmp_path):
+    # the sha256 of (argv, exit code, stdout, stderr, files written) for every
+    # solve pair, every gen family and every error path, with tmp_path spelled
+    # "<tmp>" and the clock fixed so that "millis" reads 0.0
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 1.0))
+    texts = {
+        "eq_b": "1\n0\n4\n7\n", "eq_r": "1\n1\n2\n9\n",
+        "lt_b": "1\n1/2\n3\n", "lt_r": "1\n0\n-5/3\n2\n4.25\n",
+        "pl_b": "2\n0 0\n1/2 3\n", "pl_r": "2\n0 0\n3 0\n-1 2\n",
+        "X": "1 0\n1 1\n0 1\n", "Y": "0 1\n1 1\n1 1\n", "X2": "2 0\n1 1\n0 1\n",
+        "Y2": "0 1\n1\n1 1\n",
+        "G": "4\n1 2\n1 3\n2 3\n3 4\n", "loop": "3\n1 2\n1 1\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    p = {name: str(tmp_path / name) for name in texts}
+    solves = [("emd", "--algorithm", alg) for alg in ("hungarian", "monotone", "bruteforce")]
+    solves += [("emdut1d", "--algorithm", alg) for alg in ("sweep", "symmetric", "oracle")]
+    argvs = []
+    for pair in ("eq", "lt", "pl"):
+        for metric in ("l1", "linf"):
+            for solver, *rest in solves:
+                if solver == "emd":
+                    rest = [*rest, "--metric", metric]
+                elif metric == "linf":
+                    continue
+                argvs.append(["solve", solver, *rest,
+                              "--blue", p[f"{pair}_b"], "--red", p[f"{pair}_r"]])
+            argvs.append(["solve", "emdut-hd", "--metric", metric,
+                          "--blue", p[f"{pair}_b"], "--red", p[f"{pair}_r"]])
+    out = str(tmp_path / "o")
+    argvs += [
+        ["gen", "ov", "--vectors", p["X"], p["Y"], "--out-prefix", out],
+        *(["gen", "clique", "--variant", v, "--k", "3", "--graph", p["G"],
+           "--out-prefix", out] for v in ("l1-asym", "l1-sym", "linf-sym")),
+        # error paths
+        ["solve", "emd", "--metric", "l3", "--blue", p["eq_b"], "--red", p["eq_r"]],
+        ["solve", "emd", "--metric", "l3", "--algorithm", "monotone",
+         "--blue", p["eq_b"], "--red", p["eq_r"]],
+        ["solve", "emdut-hd", "--metric", "l3", "--blue", p["eq_b"], "--red", p["eq_r"]],
+        ["solve", "emdut-hd", "--metric", "linf", "--budget", "3",
+         "--blue", p["pl_b"], "--red", p["pl_r"]],
+        ["solve", "emdut1d", "--blue", out + "_missing", "--red", p["eq_r"]],
+        ["solve", "emdut1d", "--blue", p["X"], "--red", p["eq_r"]],
+        ["gen", "ov", "--vectors", p["X2"], p["Y"], "--out-prefix", out],
+        ["gen", "ov", "--vectors", p["X"], p["Y2"], "--out-prefix", out],
+        ["gen", "ov", "--vectors", p["X"], p["G"], "--out-prefix", out],
+        ["gen", "ov", "--vectors", p["X"], p["Y"], "--out-prefix", out + "/x/o"],
+        ["gen", "clique", "--variant", "l1-asym", "--k", "3", "--graph", p["loop"],
+         "--out-prefix", out],
+        ["gen", "clique", "--variant", "l1-sym", "--k", "1", "--graph", p["G"],
+         "--out-prefix", out],
+        ["bench", "sweep", "--sizes", "3,x"],
+        ["bench", "sweep", "--sizes", "0"],
+    ]
+    transcript = []
+    for argv in argvs:
+        for f in tmp_path.glob("o_*"):
+            f.unlink()
+        code = main(argv)
+        got = capsys.readouterr()
+        files = {f.name: f.read_text() for f in sorted(tmp_path.glob("o_*"))}
+        record = (argv, code, got.out, got.err, files)
+        transcript.append(json.loads(json.dumps(record).replace(str(tmp_path), "<tmp>")))
+    codes = [code for _, code, *_ in transcript]
+    assert (codes.count(0), codes.count(1), codes.count(2)) == (31, 1, 19)
+    digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
+    assert digest == "ea8ce80382c72a8ff274340361c71d8cde1849d5f3fd0f478c34420253266321"
+
+
+def test_every_emd_and_1d_algorithm_answers_a_small_pair(capsys, tmp_path):
+    # B = {0, 5}, R = {1, 7}: EMD 1 + 2 = 3 in place, and 1 after the shift by 1
+    blue = tmp_path / "b.txt"
+    red = tmp_path / "r.txt"
+    blue.write_text("1\n0\n5\n")
+    red.write_text("1\n1\n7\n")
+    files = ["--blue", str(blue), "--red", str(red)]
+    for solver, algorithm, value, translation in (
+        ("emd", "hungarian", "3", None), ("emd", "monotone", "3", None),
+        ("emd", "bruteforce", "3", None), ("emdut1d", "sweep", "1", ["1"]),
+        ("emdut1d", "symmetric", "1", ["1"]), ("emdut1d", "oracle", "1", None),
+    ):
+        code, out, err = run(capsys, ["solve", solver, "--algorithm", algorithm, *files])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["value"], payload["algorithm"]) == (value, algorithm)
+        assert payload.get("translation") == translation
+        if algorithm not in ("bruteforce", "oracle"):
+            assert sorted(payload["matching"]) == [[0, 0], [1, 1]]
+
+
+def test_library_refusals_exit_2_with_the_library_message(capsys, tmp_path):
+    xf = tmp_path / "X.txt"
+    yf = tmp_path / "Y.txt"
+    xf.write_text("2 0\n0 1\n")
+    yf.write_text("0 1\n1 1\n")
+    graph = tmp_path / "g.txt"
+    graph.write_text("3\n1 2\n1 1\n")
+    points = tmp_path / "p.txt"
+    points.write_text("1\n0\n5\n")
+    prefix = str(tmp_path / "o")
+    metric_l3 = ["solve", "emd", "--metric", "l3", "--blue", str(points), "--red", str(points)]
+    for argv, message in (
+        (["gen", "ov", "--vectors", str(xf), str(yf), "--out-prefix", prefix],
+         "non-binary entry in vector (2, 0)"),
+        (["gen", "clique", "--variant", "l1-asym", "--k", "2", "--graph", str(graph),
+          "--out-prefix", prefix], f"{graph}: self-loop at node 1"),
+        (metric_l3, "unknown metric 'l3' (expected 'l1' or 'linf')"),
+        (metric_l3 + ["--algorithm", "monotone"],
+         "unknown metric 'l3' (expected 'l1' or 'linf')"),
+    ):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.glob("o_*"))

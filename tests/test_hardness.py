@@ -365,6 +365,38 @@ def test_decomposed_value_validates_its_candidates():
         decomposed_value(gi.parts, Metric.LINF, [(0.5, 2, 1, 2, 0)])
 
 
+def test_decomposed_value_solves_each_chunk_before_drawing_the_next(monkeypatch):
+    # a lazy family is framed a chunk at a time: the first solve comes before
+    # a second chunk is drawn, and the minimum, carried across chunks with
+    # different denominators, equals the one-chunk minimum
+    gi = clique_linf_sym(Graph.from_edges(4, [(1, 2), (3, 4)]), 2)
+    family = [(tau[0] + F(i % 3, 2 + i % 5), *tau[1:])
+              for i, tau in enumerate(clique_witness_grid(2, 4))]
+    family += list(clique_witness_grid(2, 4))
+    whole = decomposed_value(gi.parts, Metric.LINF, family)
+    assert whole == gi.lam
+    monkeypatch.setattr(hardness, "_CANDIDATE_CHUNK", 3)
+    drawn, first_solve = [], []
+    real = hardness._assignment_value
+
+    def spy(cost):
+        if not first_solve:
+            first_solve.append(len(drawn))
+        return real(cost)
+
+    def counted(taus):
+        for tau in taus:
+            drawn.append(tau)
+            yield tau
+
+    monkeypatch.setattr(hardness, "_assignment_value", spy)
+    assert decomposed_value(gi.parts, Metric.LINF, counted(family)) == whole
+    assert first_solve == [3] and len(drawn) == len(family) == 32
+    # a bad candidate in a later chunk is named by its index in the family
+    with pytest.raises(ValueError, match="candidate 4 has 4 coordinates, expected 5"):
+        decomposed_value(gi.parts, Metric.LINF, family[:4] + [(1, 2, 1, 2)])
+
+
 def test_linf_sym_value_refuses_a_grid_past_the_budget_at_once():
     # N^k = 60^4, about 1.3e7 witness-grid points, exceeds DEFAULT_BUDGET:
     # walking them would take hours, so the value refuses before the first
