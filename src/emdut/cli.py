@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -164,11 +165,15 @@ def _cmd_gen(args) -> int:
         f"{prefix}_red.txt": serialize_point_set(gi.red),
         f"{prefix}_meta.json": json.dumps(sidecar, indent=2) + "\n",
     }
+    written = []
     try:
         for path, text in texts.items():
             with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
                 fh.write(text)
     except OSError as exc:
+        for path in written:  # all three files or none
+            os.remove(path)
         raise ValueError(f"{exc.filename or prefix}: {exc.strerror or exc}") from exc
     blue_path, red_path, meta_path = texts
     _emit({"blue": blue_path, "red": red_path, "meta": meta_path,

@@ -157,14 +157,10 @@ def matching_cost(
     """Total length of the matching after translating the blue set by tau."""
     if blue.dim != red.dim:
         raise ValueError("blue and red dimension mismatch")
-    if len(tau) != blue.dim:
-        raise ValueError("translation dimension mismatch")
+    moved = blue.translate(tau)
     validate_matching(phi, len(blue), len(red))
-    total = Fraction(0)
-    for b, r in zip(blue.points, phi):
-        shifted = tuple(c + t for c, t in zip(b, tau))
-        total += lp_distance(shifted, red.points[r], metric)
-    return total
+    return sum((lp_distance(b, red.points[r], metric) for b, r in zip(moved, phi)),
+               Fraction(0))
 
 
 def zero_point(dim: int) -> Point:

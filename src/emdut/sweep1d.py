@@ -55,11 +55,6 @@ from .emd import _monotone_value, _pair_sizes, _sorted_frame
 from .envelope import TreeEnvelope
 
 ORACLE_PAIR_LIMIT = 10_000
-# "naive" builds no envelope: a root query is one pass over the run's
-# pieces, and an alignment changes one piece.  "tree" answers each root
-# query with a blocked envelope built on the run's own lines, as a
-# differential reference that emits the same event log.
-_ENVELOPES = {"naive": None, "tree": TreeEnvelope}
 
 
 class SweepStats(NamedTuple):
@@ -119,7 +114,7 @@ class _Run:
     bt: int            # last blue; its red is phi[bt]
     live: bool         # phi[bt] is not the last red, so the run can still move
     epoch: int = 0         # heap entries of older epochs are stale
-    event: object = None   # (p, q, blue, a, b) of the one live queued reassignment
+    event: object = None   # (p, q, blue) of the one live queued reassignment
     marked: bool = False   # its pieces changed at the current alignment time
 
 
@@ -131,11 +126,13 @@ class _Sweep:
     the next red r'.  A live run [bs, bt] moves the suffix from blue j on
     when the sum of the pieces j..bt falls to zero, so the run's envelope
     lines are the suffix sums of its pieces, tagged by blue; they are never
-    stored, and the tree reference is built on them per root query.
-    Pieces are kept current for the blues of live runs only.
+    stored, and the tree reference is built on them per root query.  Both
+    root queries return what an envelope's ``root_piece`` returns, (p, q,
+    blue); a move reads the moved suffix's line off its pieces as it shifts
+    them.  Pieces are kept current for the blues of live runs only.
     """
 
-    def __init__(self, bc, rc, envelope_cls, check: bool):
+    def __init__(self, bc, rc, root_query, check: bool):
         self.bc = bc
         self.rc = rc
         self.m = len(bc)
@@ -145,8 +142,7 @@ class _Sweep:
         self.phi = list(range(self.m))  # the matching: blue j -> red phi[j]
         self.pa = [0] * self.m  # switch piece slopes
         self.pb = [0] * self.m  # switch piece intercepts
-        self.envelope_cls = envelope_cls
-        self._root = self._root_naive if envelope_cls is None else self._root_tree
+        self.root_query = root_query  # an entry of _ENVELOPES, called with self
         self.blue_run = [None] * self.m  # blue j -> the _Run holding it
         self.marked = []  # runs whose pieces changed at the current alignment time
         self.next_rid = 0
@@ -183,8 +179,8 @@ class _Sweep:
         # the envelopes' root rule on the run's lines, in one backward pass
         # over its pieces: the first line <= 0 at t0 answers at t0, else the
         # first falling line with the smallest root -b/a does (<= keeps the
-        # first on ties, as the pass runs backward).  Returns (p, q, blue,
-        # a, b) with that blue's line a*tau + b, or None.
+        # first on ties, as the pass runs backward).  Returns (p, q, blue),
+        # as ``root_piece`` does, or None.
         pa, pb = self.pa, self.pb
         a = b = 0
         hit = -1
@@ -193,21 +189,19 @@ class _Sweep:
             a += pa[j]
             b += pb[j]
             if a * p0 + b * q0 <= 0:
-                hit, hit_a, hit_b = j, a, b
+                hit = j
             elif a < 0 and b * root_q <= root_p * -a:
-                root_p, root_q, root_j, root_a, root_b = b, -a, j, a, b
+                root_p, root_q, root_j = b, -a, j
         if hit >= 0:
-            return p0, q0, hit, hit_a, hit_b
+            return p0, q0, hit
         if not root_q:
             return None
         g = math.gcd(root_p, root_q)
-        return root_p // g, root_q // g, root_j, root_a, root_b
+        return root_p // g, root_q // g, root_j
 
     def _root_tree(self, bs, bt, p0, q0):
         # the same rule and return, answered by a tree built on the run's lines
-        lines = self._range_lines(bs, bt)
-        got = self.envelope_cls(lines).root_piece(p0, q0)
-        return None if got is None else (*got, *lines[got[2] - bs][:2])
+        return TreeEnvelope(self._range_lines(bs, bt)).root_piece(p0, q0)
 
     def _range_lines(self, bs, bt):
         # the run's lines, the suffix sums of its pieces, tagged by blue
@@ -218,17 +212,21 @@ class _Sweep:
             out.append((a, b, j))
         return out[::-1]
 
-    def _make_run(self, bs, bt, p, q):
-        run = _Run(self.next_rid, bs, bt, self.phi[bt] < self.n - 1)
-        self.next_rid += 1
-        self.blue_run[bs:bt + 1] = [run] * (bt - bs + 1)
+    def _attach(self, run, lo, hi, p, q):
+        # blues lo..hi start a fresh run (run is None) or join the front of
+        # run; a live run gets their pieces and is rescheduled
+        if run is None:
+            run = _Run(self.next_rid, lo, hi, self.phi[hi] < self.n - 1)
+            self.next_rid += 1
+        run.bs = lo
+        self.blue_run[lo:hi + 1] = [run] * (hi - lo + 1)
         if run.live:
-            self._set_pieces(bs, bt, p // q)
+            self._set_pieces(lo, hi, p // q)
             self._reschedule(run, p, q)
 
     def _reschedule(self, run: _Run, p, q):
         # queue the live run's next reassignment unless it is already queued
-        got = self._root(run.bs, run.bt, p, q)
+        got = self.root_query(self, run.bs, run.bt, p, q)
         if got != run.event:
             run.epoch += 1
             run.event = got
@@ -287,17 +285,15 @@ class _Sweep:
                 self.marked.append(run)
 
     def _handle_move(self, run: _Run, p, q):
-        rp, rq, j, line_a, line_b = run.event
+        rp, rq, j = run.event
         run.event = None
         bs, bt = run.bs, run.bt
         if self.check:
-            assert (rp, rq) == (p, q) and line_a * p + line_b * q == 0
+            assert (rp, rq) == (p, q)
             assert min(a * p + b * q for a, b, _ in self._range_lines(bs, bt)) == 0
             assert bs <= j <= bt
             self.move_log.append((bs, bt, j))
-        self.fs += line_a
-        self.fi += line_b
-        phi, rc = self.phi, self.rc
+        phi, rc, pa, pb = self.phi, self.rc, self.pa, self.pb
         # shrink the source run: its pieces j..bt leave its suffix sums, which
         # rebases the rest on line j; a run that moves whole is dropped, as
         # its one queued event was just consumed
@@ -322,19 +318,21 @@ class _Sweep:
                 assert all(x == r0 for x in rc[first:top + slid + 1])
                 self.move_log.extend([(j, bt, j)] * slid)
             self.move_events += slid
+        # shift the suffix; its line, the sum of its pieces, is zero now and
+        # joins the cost, read before the pieces are set for the new reds
+        line_a = line_b = 0
         for k in range(j, bt + 1):
             phi[k] += 1 + slid
+            line_a += pa[k]
+            line_b += pb[k]
+        if self.check:
+            assert line_a * p + line_b * q == 0
+        self.fs += line_a
+        self.fi += line_b
         # attach the moved suffix: merge with the next run when the red
         # indices become consecutive, otherwise start a fresh run; either way
         # only the moved blues get new pieces
-        if nxt is not None and limit == phi[bt] + 1:
-            nxt.bs = j
-            self.blue_run[j:bt + 1] = [nxt] * (bt - j + 1)
-            if nxt.live:
-                self._set_pieces(j, bt, p // q)
-                self._reschedule(nxt, p, q)
-        else:
-            self._make_run(j, bt, p, q)
+        self._attach(nxt if limit == phi[bt] + 1 else None, j, bt, p, q)
 
     # -- main loop -------------------------------------------------------------
 
@@ -350,7 +348,7 @@ class _Sweep:
         # the identity matching holds up to the first alignment; the first
         # piece starts where the last blue meets red 0, or at an earlier event
         t = rc[0] - bc[m - 1]
-        self._make_run(0, m - 1, t - 1, 1)
+        self._attach(None, 0, m - 1, t - 1, 1)
         prev_key, prev_p, prev_q = min((t << shift, t, 1), (heap[0][0], *heap[0][4:6]))
 
         # the cost fs*tau + fi is continuous, so it is compared once per event
@@ -402,6 +400,13 @@ class _Sweep:
         if copy_due:
             best_phi = phi[:]
         return best_num, best_p, best_q, best_phi, pieces
+
+
+# "naive" builds no envelope: a root query is one pass over the run's
+# pieces, and an alignment changes one piece.  "tree" answers each root
+# query with a blocked envelope built on the run's own lines, as a
+# differential reference that emits the same event log.
+_ENVELOPES = {"naive": _Sweep._root_naive, "tree": _Sweep._root_tree}
 
 
 def emdut_1d_sweep(

@@ -360,6 +360,23 @@ def test_gen_into_a_missing_or_unwritable_path_exits_2_naming_it(capsys, tmp_pat
         assert err.startswith(f"error: {prefix}{bad}: ") and err.count("\n") == 1
 
 
+def test_gen_that_cannot_write_a_file_leaves_none_of_the_three(capsys, tmp_path):
+    # a taken red or meta path comes after the blue (and red) file is
+    # written; those are removed, and the taken path is left as it was
+    xf = tmp_path / "X.txt"
+    xf.write_text("1 0\n0 1\n")
+    for prefix, bad in (("d", "_red.txt"), ("e", "_meta.json")):
+        (tmp_path / f"{prefix}{bad}").mkdir()
+        code, out, err = run(
+            capsys, ["gen", "ov", "--vectors", str(xf), str(xf),
+                     "--out-prefix", str(tmp_path / prefix)]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path / prefix}{bad}: Is a directory\n"
+        left = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(prefix))
+        assert left == [f"{prefix}{bad}"] and (tmp_path / f"{prefix}{bad}").is_dir()
+
+
 def test_gen_clique_files(capsys, tmp_path):
     gf = tmp_path / "G.txt"
     gf.write_text("3\n1 2\n1 3\n2 3\n")

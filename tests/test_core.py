@@ -6,6 +6,7 @@ import pytest
 from emdut.core import (
     Metric,
     PointFormatError,
+    PointSet,
     format_scalar,
     lp_distance,
     matching_cost,
@@ -91,6 +92,21 @@ def test_matching_cost_rejects_bad_matchings():
         matching_cost(B, R, Metric.L1, (0, 0), (F(0),))
     with pytest.raises(ValueError):
         matching_cost(B, R, Metric.L1, (0, 5), (F(0),))
+    with pytest.raises(ValueError, match="matching has 1 entries, expected 2"):
+        matching_cost(B, R, Metric.L1, (0,), (F(0),))
+    with pytest.raises(ValueError, match="translation dimension mismatch"):
+        matching_cost(B, R, Metric.L1, (0, 1), (F(0), F(0)))
+    with pytest.raises(ValueError, match="blue and red dimension mismatch"):
+        matching_cost(B, point_set(2, [(0, 0), (1, 1)]), Metric.L1, (0, 1), (F(0),))
+
+
+def test_matching_cost_reads_tau_like_every_other_entry_point():
+    # a float is refused as in ``scalar``; a rational string is read exactly
+    B, R = point_set_1d([0, 1]), point_set_1d([0, 2, 5])
+    with pytest.raises(TypeError):
+        matching_cost(B, R, Metric.L1, (0, 1), (0.5,))
+    assert matching_cost(B, R, Metric.L1, (0, 1), ("1/3",)) == matching_cost(
+        B, R, Metric.L1, (0, 1), (F(1, 3),)) == 1
 
 
 def test_matching_cost_translation_covariant():
@@ -113,6 +129,10 @@ def test_point_set_validation_and_immutability():
     ps = point_set_1d([1, 2])
     with pytest.raises(Exception):
         ps.dim = 3
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        PointSet(0, ())
+    with pytest.raises(ValueError, match="translation dimension mismatch"):
+        ps.translate((1, 2))
     # a float translation is rejected like a float coordinate, not kept
     with pytest.raises(TypeError):
         ps.translate((0.1,))

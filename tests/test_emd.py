@@ -98,6 +98,7 @@ def test_bruteforce_examples():
     assert emd_bruteforce(point_set_1d([0]), point_set_1d([7]), Metric.L1) == 7
     assert emd_bruteforce(point_set_1d([0, 1]), point_set_1d([0, 1]), Metric.L1) == 0
     assert emd_bruteforce(point_set_1d([0, 4]), point_set_1d([1, 2]), Metric.L1) == 3
+    assert emd_bruteforce(point_set_1d([]), point_set_1d([3, 5]), Metric.L1) == 0
 
 
 def test_bruteforce_guard():

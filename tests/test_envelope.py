@@ -219,6 +219,19 @@ def test_add_range_leaves_the_given_list_snapshots_and_twins_alone():
         assert (twin.value_at(F(0)), env.value_at(F(0))) == (-1, -6)
 
 
+def test_get_and_remove_past_the_end_raise_index_error():
+    # the tree spreads 10 lines over 3 blocks; a position past the last one
+    # is refused as a list refuses it, and changes nothing
+    lines = [(-k, k * k, k) for k in range(9, -1, -1)]
+    for cls in BACKENDS:
+        for env in (cls(lines), cls()):
+            kept = env.lines()
+            for op in (env.get, env.remove):
+                with pytest.raises(IndexError):
+                    op(len(kept))
+            assert env.lines() == kept
+
+
 def test_lazy_offsets_flush_to_same_answers():
     # rebuilding from the flushed line list must not change any query
     rng = random.Random(77)

@@ -58,6 +58,8 @@ def test_vector_gadget_sizes():
         assert len(ov_blue_gadget(y)) == 2 * (d + 1)
     with pytest.raises(ValueError):
         ov_red_gadget((0, 2))
+    with pytest.raises(ValueError, match="vector entries must be 0/1"):
+        ov_blue_gadget([2])
 
 
 def test_gadget_cost_encodes_orthogonality():
@@ -119,6 +121,42 @@ def test_decide_ov_examples():
     assert decide_ov(no) is False and not has_orthogonal_pair(no)
     zero = OVInstance(((1, 1), (0, 0), (1, 1)), ((1, 1), (1, 1), (1, 1)))
     assert decide_ov(zero) is True  # the all-zeros vector is orthogonal to all
+
+
+def test_decide_ov_refuses_past_the_pair_guard(monkeypatch):
+    inst = OVInstance(((1, 0),), ((0, 1),))
+    gi = ov_reduction(inst)
+    monkeypatch.setattr(hardness, "OV_PAIR_GUARD", len(gi.blue) * len(gi.red) - 1)
+    with pytest.raises(ValueError, match=r"exceeds the decision guard of \d+ pairs"):
+        decide_ov(inst)
+    monkeypatch.setattr(hardness, "OV_PAIR_GUARD", len(gi.blue) * len(gi.red))
+    assert decide_ov(inst) is True
+
+
+def test_malformed_hardness_inputs_raise_value_error():
+    with pytest.raises(ValueError, match="vector dimension must be >= 1"):
+        OVInstance(((),), ((),))
+    for edge in ((2, 1), (0, 1), (1, 4)):
+        with pytest.raises(ValueError, match="bad edge"):
+            Graph(3, frozenset({edge}))
+    g = Graph.from_edges(3, [(1, 2)])
+    with pytest.raises(ValueError, match="unknown variant 'l2-sym'"):
+        hardness.clique_instance(g, 2, "l2-sym")
+    one = (point_set(1, [(0,)]), point_set(1, [(0,), (1,)]))
+    two = (point_set(2, [(0, 0)]), point_set(2, [(0, 0)]))
+    for gadgets, message in (([], "need at least one gadget"),
+                             ([one, two], "gadgets must share one dimension"),
+                             ([one, one[::-1]], r"every gadget needs \|B\| <= \|R\|")):
+        with pytest.raises(ValueError, match=message):
+            combine_gadgets(gadgets)
+
+
+def test_has_clique_on_at_most_one_node():
+    # every graph has the empty clique, and a one-node clique unless it is empty
+    for n in (0, 1, 3):
+        g = Graph.from_edges(n, [])
+        assert has_clique(g, 0) and has_clique(g, -1)
+        assert has_clique(g, 1) == (n >= 1)
 
 
 def test_reduction_value_never_strictly_between():
@@ -430,6 +468,8 @@ def test_decide_clique_named_graphs():
         assert decide_clique(empty, 2, variant) is False
     # k exceeding the node count still generates and decides no
     assert decide_clique(Graph.from_edges(2, [(1, 2)]), 3, "l1-asym") is False
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        decide_clique(tri, 1, "l1-asym")
 
 
 def test_decide_clique_agrees_with_enumeration_on_three_node_graphs():

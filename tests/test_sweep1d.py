@@ -25,6 +25,7 @@ def test_symmetric_examples():
     assert emdut_1d_symmetric(point_set_1d([0]), point_set_1d([9])) == (0, 9, (0,))
     value, tau, phi = emdut_1d_symmetric(point_set_1d([0, 1]), point_set_1d([10, 12]))
     assert (value, tau, phi) == (1, 10, (0, 1))
+    assert emdut_1d_symmetric(point_set_1d([]), point_set_1d([])) == (0, 0, ())
 
 
 def test_symmetric_rejects_size_mismatch():
