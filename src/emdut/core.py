@@ -57,7 +57,12 @@ def scalar(value) -> Fraction:
 
     Floats are rejected: they would smuggle binary rounding into the
     exact pipeline.  So are literals past ``_MAX_LITERAL`` or ``_MAX_EXPONENT``.
+
+    Ints, the common case, are checked first, and ``Fraction``, whose
+    ``isinstance`` check walks the numbers ABCs for anything else, last.
     """
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, str):
         if len(value) > _MAX_LITERAL:
             raise ValueError(f"literal longer than {_MAX_LITERAL} characters")
@@ -73,8 +78,6 @@ def scalar(value) -> Fraction:
             raise ValueError(f"not an exact rational literal: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
 
 

@@ -14,9 +14,12 @@ with position, and answers queries about the whole envelope
   though g(0) = 4.
 
 while supporting insertion/removal of single lines and adding a linear
-function to a contiguous range of positions.  Both backends follow that
-root rule exactly, and so does the sweep's own scan of a run's switch
-pieces, so a sweep emits the same event log either way.
+function to a contiguous range of positions.  Positions count from 0,
+never from the end: ``get`` and ``remove`` take 0 <= pos < k, ``insert``
+0 <= pos <= k and ``add_range`` 0 <= lo <= hi <= k, and both backends
+refuse anything else with ``IndexError`` before changing a line.  Both
+backends follow that root rule exactly, and so does the sweep's own scan
+of a run's switch pieces, so a sweep emits the same event log either way.
 
 There is one time type: a pair (p, q) of ints with q > 0.  Lines are
 ``(slope, intercept, tag)`` triples with integer slope and intercept, so
@@ -70,6 +73,13 @@ def _lt(s, t) -> bool:
 def _at(line, t) -> int:
     # q * line(p/q) for t = (p, q): the sign of the line's value there
     return line[0] * t[0] + line[1] * t[1]
+
+
+def _check_span(lo: int, hi: int, size: int) -> None:
+    # positions [lo, hi) must lie in [0, size]: no negative index counts
+    # from the end and no range is clamped, so a refused call changes nothing
+    if not 0 <= lo <= hi <= size:
+        raise IndexError(f"positions [{lo}, {hi}) outside [0, {size}]")
 
 
 class _Block:
@@ -173,16 +183,16 @@ class TreeEnvelope:
 
     def _locate(self, pos: int):
         # (block index, position inside it) of line pos
-        if pos >= 0:
-            for i, block in enumerate(self._blocks):
-                if pos < len(block.lines):
-                    return i, pos
-                pos -= len(block.lines)
-        raise IndexError(pos)
+        _check_span(pos, pos + 1, len(self))
+        for i, block in enumerate(self._blocks):
+            if pos < len(block.lines):
+                return i, pos
+            pos -= len(block.lines)
 
     # -- mutations ----------------------------------------------------------
 
     def insert(self, pos: int, a, b, tag=None) -> None:
+        _check_span(pos, pos, len(self))
         if not self._blocks:
             self._blocks.append(_Block([(a, b, tag)]))
             return
@@ -207,6 +217,7 @@ class TreeEnvelope:
 
     def add_range(self, lo: int, hi: int, da, db) -> None:
         """Add da*tau + db to every line at positions [lo, hi)."""
+        _check_span(lo, hi, len(self))
         start = 0
         for block in self._blocks:
             if start >= hi:
@@ -278,13 +289,16 @@ class NaiveEnvelope:
         self._lines = [(l[0], l[1], l[2] if len(l) > 2 else None) for l in lines]
 
     def insert(self, pos, a, b, tag=None):
+        _check_span(pos, pos, len(self._lines))
         self._lines.insert(pos, (a, b, tag))
 
     def remove(self, pos):
+        _check_span(pos, pos + 1, len(self._lines))
         return self._lines.pop(pos)
 
     def add_range(self, lo, hi, da, db):
         lines = self._lines
+        _check_span(lo, hi, len(lines))
         for i in range(lo, hi):
             a, b, tag = lines[i]
             lines[i] = (a + da, b + db, tag)
@@ -316,6 +330,7 @@ class NaiveEnvelope:
         return p // g, q // g, tag
 
     def get(self, pos):
+        _check_span(pos, pos + 1, len(self._lines))
         return self._lines[pos]
 
     def lines(self):

@@ -138,7 +138,38 @@ class GadgetInstance:
 
 # ---------------------------------------------------------------------------
 # orthogonal-vector gadgets (1D)
+#
+# A gadget's coordinates are first a plain list of ints.  The public gadget
+# functions check one vector and wrap its list in a point set;
+# ``ov_reduction`` shifts the lists of every cell into place itself.
 # ---------------------------------------------------------------------------
+
+
+def _check_bits(v: Sequence[int]) -> None:
+    if len(v) < 1 or any(b not in (0, 1) for b in v):
+        raise ValueError("vector entries must be 0/1, dimension >= 1")
+
+
+def _ov_red_ints(x: Sequence[int]) -> list[int]:
+    d = len(x)
+    pts = [0] * (8 * d) + [4 * d + 1] * (8 * d)
+    for i in range(1, d + 1):
+        if x[i - 1] == 0:
+            pts.extend([4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i])
+        else:
+            pts.extend([4 * i - 2, 4 * i - 1])
+    return pts
+
+
+def _ov_blue_ints(y: Sequence[int]) -> list[int]:
+    d = len(y)
+    pts = [0, 4 * d + 1]
+    for i in range(1, d + 1):
+        if y[i - 1] == 0:
+            pts.extend([4 * i - 2, 4 * i - 1])
+        else:
+            pts.extend([4 * i - 3, 4 * i])
+    return pts
 
 
 def ov_red_gadget(x: Sequence[int]) -> PointSet:
@@ -148,30 +179,14 @@ def ov_red_gadget(x: Sequence[int]) -> PointSet:
     the inner slot {4i-2, 4i-1} when 1, so a blue gadget fits at offset 0
     with zero cost exactly when the vectors are orthogonal.
     """
-    d = len(x)
-    if d < 1 or any(b not in (0, 1) for b in x):
-        raise ValueError("vector entries must be 0/1, dimension >= 1")
-    pts = [0] * (8 * d) + [4 * d + 1] * (8 * d)
-    for i in range(1, d + 1):
-        if x[i - 1] == 0:
-            pts.extend([4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i])
-        else:
-            pts.extend([4 * i - 2, 4 * i - 1])
-    return point_set_1d(pts)
+    _check_bits(x)
+    return point_set_1d(_ov_red_ints(x))
 
 
 def ov_blue_gadget(y: Sequence[int]) -> PointSet:
     """Blue vector gadget: two endpoint points plus one slot pair per bit."""
-    d = len(y)
-    if d < 1 or any(b not in (0, 1) for b in y):
-        raise ValueError("vector entries must be 0/1, dimension >= 1")
-    pts = [0, 4 * d + 1]
-    for i in range(1, d + 1):
-        if y[i - 1] == 0:
-            pts.extend([4 * i - 2, 4 * i - 1])
-        else:
-            pts.extend([4 * i - 3, 4 * i])
-    return point_set_1d(pts)
+    _check_bits(y)
+    return point_set_1d(_ov_blue_ints(y))
 
 
 def ov_reduction(inst: OVInstance) -> GadgetInstance:
@@ -183,6 +198,11 @@ def ov_reduction(inst: OVInstance) -> GadgetInstance:
     offset (i + k*n)*(n-1)*delta, which makes the red cells periodic and
     pins every near-optimal translation to a near-alignment of exactly
     one blue/red cell pair.
+
+    The gadgets stay int lists, already checked by :class:`OVInstance`,
+    until the blue and red point sets are built: the two ``point_set_1d``
+    calls at the end are the only PointSets, and the only coercions, a
+    reduction makes.
     """
     xs = list(inst.x_vectors)
     ys = list(inst.y_vectors)
@@ -198,7 +218,7 @@ def ov_reduction(inst: OVInstance) -> GadgetInstance:
     blue_pts: list[int] = []
     for j in range(1, n):
         shift = j * n * delta
-        blue_pts.extend(int(p[0]) + shift for p in ov_blue_gadget(ys[j - 1]).points)
+        blue_pts.extend(p + shift for p in _ov_blue_ints(ys[j - 1]))
     # Red cell indices must be contiguous: cell c sits at c*(n-1)*delta and
     # holds vector ((c-1) mod (n-1)) + 1, so five copies of each vector tile
     # the index range [n, 6(n-1)] without gaps.  A gap would let a blue cell's
@@ -206,7 +226,7 @@ def ov_reduction(inst: OVInstance) -> GadgetInstance:
     # threshold below is computed from.
     red_pts: list[int] = []
     for i in range(1, n):
-        gadget = [int(p[0]) for p in ov_red_gadget(xs[i - 1]).points]
+        gadget = _ov_red_ints(xs[i - 1])
         for k in range(1, 6):
             shift = (i + k * (n - 1)) * (n - 1) * delta
             red_pts.extend(p + shift for p in gadget)

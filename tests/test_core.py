@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +59,39 @@ def test_scalar_parsing():
         scalar(0.25)
     with pytest.raises(ValueError):
         scalar("1/0")
+
+
+class _Level(IntEnum):
+    HIGH = 3
+
+
+class _Ratio(F):
+    pass
+
+
+def test_scalar_contract_by_exact_type():
+    # ints are checked before strings and Fractions; every input must give
+    # the value and the exact type it always did
+    for value, want in [(7, F(7)), (-(10**700), F(-(10**700))), (True, F(1)),
+                        (False, F(0)), (_Level.HIGH, F(3)), (F(-3, 4), F(-3, 4))]:
+        got = scalar(value)
+        assert got == want and type(got) is F, value
+        assert type(got.numerator) is int and type(got.denominator) is int
+    plain = F(5, 6)
+    assert scalar(plain) is plain
+    sub = _Ratio(1, 3)
+    assert scalar(sub) is sub and type(scalar(sub)) is _Ratio
+    for text, want in [("3/4", F(3, 4)), ("-0.25", F(-1, 4)), ("1e3", F(1000))]:
+        got = scalar(text)
+        assert got == want and type(got) is F, text
+    with pytest.raises(TypeError):
+        scalar(0.5)
+    with pytest.raises(TypeError):
+        scalar(None)
+    with pytest.raises(ValueError, match="longer"):
+        scalar("1" * 20_001)
+    with pytest.raises(ValueError, match="exponent"):
+        scalar("1e100001")
 
 
 @pytest.mark.parametrize(

@@ -232,6 +232,46 @@ def test_get_and_remove_past_the_end_raise_index_error():
             assert env.lines() == kept
 
 
+@pytest.mark.parametrize("call", [
+    lambda env: env.get(-1),
+    lambda env: env.remove(-1),
+    lambda env: env.insert(-1, -20, 0, "new"),
+    lambda env: env.insert(11, 1, 0, "new"),
+    lambda env: env.add_range(-2, 0, -1, 5),
+    lambda env: env.add_range(0, 99, -1, 5),
+    lambda env: env.add_range(4, 3, -1, 5),
+], ids=["get-1", "remove-1", "insert-1", "insert-past-end",
+        "add-negative-lo", "add-past-end", "add-inverted"])
+def test_positions_outside_the_list_raise_index_error_and_change_nothing(call):
+    # a list would read a negative position from the end and slice-clamp a
+    # long range; both backends refuse either before they touch a line
+    lines = [(-k, k * k, k) for k in range(9, -1, -1)]
+    for cls in BACKENDS:
+        env = cls(lines)
+        with pytest.raises(IndexError):
+            call(env)
+        assert env.lines() == lines
+        assert [env.get(pos) for pos in range(len(lines))] == lines
+        assert _root(env, 0) == _root(cls(lines), 0)
+
+
+def test_positions_at_the_ends_are_accepted_by_both_backends():
+    for cls in BACKENDS:
+        env = cls([(-2, 4, 0), (0, 1, 1)])
+        env.insert(2, 1, 0, 2)
+        env.insert(0, -3, 9, 3)
+        env.add_range(4, 4, -1, 5)
+        env.add_range(0, 4, 0, 1)
+        assert env.lines() == [(-3, 10, 3), (-2, 5, 0), (0, 2, 1), (1, 1, 2)]
+        assert env.remove(3) == (1, 1, 2)
+        assert env.get(2) == (0, 2, 1)
+        empty = cls()
+        with pytest.raises(IndexError):
+            empty.insert(1, 1, 2)
+        empty.insert(0, 1, 2)
+        assert empty.lines() == [(1, 2, None)]
+
+
 def test_lazy_offsets_flush_to_same_answers():
     # rebuilding from the flushed line list must not change any query
     rng = random.Random(77)

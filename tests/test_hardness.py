@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import emdut.core as core
 import emdut.hardness as hardness
 from emdut.core import Metric, point_set, serialize_point_set
 from emdut.emd import emd_1d_monotone
@@ -112,6 +113,25 @@ def test_reduction_parameters_and_padding():
 
     with pytest.raises(ValueError):
         ov_reduction(OVInstance(((1, 1, 1, 1, 1),), ((1, 1, 1, 1, 1),)))  # d > n
+
+
+@pytest.mark.parametrize("x_vectors,y_vectors", [
+    (((1, 0),), ((0, 1),)),
+    (((1, 0), (0, 1)), ((0, 1), (1, 1))),  # padded to n = 4
+    (((1, 0, 1), (0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 0, 0)),
+     ((0, 1, 1), (1, 1, 1), (0, 0, 0), (1, 0, 1), (0, 1, 0))),
+])
+def test_ov_reduction_coerces_each_point_once(monkeypatch, x_vectors, y_vectors):
+    # the gadgets stay ints until the two final point sets; a reduction that
+    # built a PointSet per gadget would make 2(n - 1) + 2 of them
+    built, coerced = [], []
+    post_init, scalar = core.PointSet.__post_init__, core.scalar
+    monkeypatch.setattr(core.PointSet, "__post_init__",
+                        lambda ps: built.append(len(ps)) or post_init(ps))
+    monkeypatch.setattr(core, "scalar", lambda v: coerced.append(v) or scalar(v))
+    gi = ov_reduction(OVInstance(x_vectors, y_vectors))
+    assert built == [len(gi.blue), len(gi.red)]
+    assert len(coerced) == len(gi.blue) + len(gi.red)
 
 
 def test_decide_ov_examples():
