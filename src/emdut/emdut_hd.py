@@ -12,7 +12,10 @@ L1, halved, after the change of coordinates (x, y) -> (x+y, x-y), whose
 breaklines are the diagonals, so it searches the same product on that
 rotated grid.  Both scale the points once by the lcm of their
 denominators and rotate those integers; the search and the witness solve
-run in that frame, and only the answer leaves it.
+run in that frame, and only the answer leaves it.  ``_grid`` is that
+set-up, stated once for the solver and ``candidate_translations``: the
+frame, the rotation, the sorted per-axis offsets and the budget check
+on their product.
 
 The product is never built.  The L1 cost at tau is at least
 sum_a g_a(tau_a), where g_a is the 1D partial-matching EMD of axis a
@@ -152,11 +155,13 @@ def _vertex(planes):
     return tuple(row[d] // prev for row in rows)
 
 
-def _grid_frame(blue: PointSet, red: PointSet, metric: Metric):
-    """(blues, reds, den, rotated): integer points of the grid search.
+def _grid(blue: PointSet, red: PointSet, metric: Metric, budget: int):
+    """(bs, rs, den, rotated, offsets, total): the grid search's set-up.
 
-    Frame L1 distances are the metric's distances times ``den``.  Planar
-    Linf is rotated to (x+y, x-y), which doubles distances and so ``den``.
+    Frames the points, so that L1 distances are the metric's times
+    ``den``; rotates planar Linf to (x+y, x-y), which doubles distances
+    and so ``den``; sorts the per-axis offsets r_a - b_a; and refuses
+    their product, of size ``total``, past the budget.
     """
     bs, rs, _, den = _frame(blue, red)
     rotated = metric is Metric.LINF and blue.dim == 2
@@ -164,18 +169,11 @@ def _grid_frame(blue: PointSet, red: PointSet, metric: Metric):
         bs = [(x + y, x - y) for x, y in bs]
         rs = [(x + y, x - y) for x, y in rs]
         den *= 2
-    return bs, rs, den, rotated
-
-
-def _grid_offsets(bs, rs, budget: int) -> tuple[list[list[int]], int]:
-    """Sorted per-axis offsets r_a - b_a and the size of their product."""
-    offsets = [
-        sorted({r[a] - b[a] for b in bs for r in rs}) for a in range(len(bs[0]))
-    ]
-    total = math.prod(len(ax) for ax in offsets)
+    offsets = [sorted({r[a] - b[a] for b in bs for r in rs}) for a in range(blue.dim)]
+    total = math.prod(map(len, offsets))
     if total > budget:
         raise BudgetExceeded(total, budget)
-    return offsets, total
+    return bs, rs, den, rotated, offsets, total
 
 
 def _unrotate(tau: tuple[int, ...], rotated: bool) -> tuple[int, ...]:
@@ -297,16 +295,13 @@ def candidate_translations(
     m, _ = _pair_sizes(blue, red)
     if m == 0:
         return ()
-    d = blue.dim
-    if metric is Metric.L1 or d <= 2:
-        bs, rs, den, rotated = _grid_frame(blue, red, metric)
-        offsets, _ = _grid_offsets(bs, rs, budget)
-        return tuple(sorted(
-            tuple(Fraction(c, den) for c in _unrotate(tau, rotated))
-            for tau in itertools.product(*offsets)
-        ))
-    vertices, _, _, den = _linf_vertices(blue, red, budget)
-    return tuple(tuple(Fraction(c, den) for c in v) for v in vertices)
+    if metric is Metric.L1 or blue.dim <= 2:
+        # den > 0, so the frame ints sort as the Fractions do
+        _, _, den, rotated, offsets, _ = _grid(blue, red, metric, budget)
+        taus = sorted(_unrotate(tau, rotated) for tau in itertools.product(*offsets))
+    else:
+        taus, _, _, den = _linf_vertices(blue, red, budget)
+    return tuple(tuple(Fraction(c, den) for c in tau) for tau in taus)
 
 
 def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction:
@@ -344,8 +339,7 @@ def emdut_hd(
         out = Fraction(0), zero_point(d), ()
         return (*out, 0, 0) if return_stats else out
     if metric is Metric.L1 or d <= 2:
-        bs, rs, den, rotated = _grid_frame(blue, red, metric)
-        offsets, candidates = _grid_offsets(bs, rs, budget)
+        bs, rs, den, rotated, offsets, candidates = _grid(blue, red, metric, budget)
         tau, cost, evaluated = _grid_search(bs, rs, offsets, rotated)
     else:
         vertices, bs, rs, den = _linf_vertices(blue, red, budget)

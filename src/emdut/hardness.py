@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Metric, PointSet, point, point_set, point_set_1d
-from .emd import _as_int_matrix, _assignment_value, _cost_matrix
+from .emd import _as_int_matrix, _assignment_value, _cost_matrix, _pair_sizes
 # _min_cost_assignment is unused here but kept importable: the benchmark's
 # tracer patches ``emdut.hardness._min_cost_assignment`` by name.
 from .emd import _min_cost_assignment  # noqa: F401
@@ -49,6 +49,11 @@ OV_PAIR_GUARD = 4_000_000  # max |B|*|R| the 1D decision procedure accepts
 # max coordinates (points times d) a clique generator writes; the output
 # grows as k^3 * |E|, so a small graph with a large k would run for hours
 CLIQUE_COORD_GUARD = 4_000_000
+
+
+def _is_bit(bit) -> bool:
+    """True for the ints 0 and 1 only, so a float or a bool is refused."""
+    return type(bit) is int and bit in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class OVInstance:
         for v in self.x_vectors + self.y_vectors:
             if len(v) != d:
                 raise ValueError("inconsistent vector dimensions")
-            if any(bit not in (0, 1) for bit in v):
+            if not all(map(_is_bit, v)):
                 raise ValueError(f"non-binary entry in vector {v}")
 
     @property
@@ -146,7 +151,7 @@ class GadgetInstance:
 
 
 def _check_bits(v: Sequence[int]) -> None:
-    if len(v) < 1 or any(b not in (0, 1) for b in v):
+    if len(v) < 1 or not all(map(_is_bit, v)):
         raise ValueError("vector entries must be 0/1, dimension >= 1")
 
 
@@ -475,7 +480,8 @@ def decomposed_value(
     """min over the candidate translations of the summed per-gadget EMD.
 
     Equals the true optimum whenever the candidate family contains an
-    optimal translation of the decomposed objective.  Each candidate is
+    optimal translation of the decomposed objective.  Each part must meet
+    ``emd._pair_sizes`` in the first part's dimension.  Each candidate is
     coerced like a point, so a float raises ``TypeError``; one of the wrong
     dimension, or an empty family, raises ``ValueError``.  The candidates
     are drawn ``_CANDIDATE_CHUNK`` at a time, and each chunk shares one
@@ -483,8 +489,10 @@ def decomposed_value(
     :func:`clique_witness_grid` is never held whole.  Candidates whose
     partial sum already exceeds the best so far are abandoned early.
     """
-    points = [p for b, r in parts for p in b.points + r.points]
     dim = parts[0][0].dim if parts else None
+    for b, r in parts:
+        _pair_sizes(b, r, dim)
+    points = [p for b, r in parts for p in b.points + r.points]
     stream = iter(candidates)
     best = None
     drawn = 0

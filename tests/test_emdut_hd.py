@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 import sys
@@ -416,3 +417,42 @@ def test_solver_cost_matrices_hold_only_ints(monkeypatch):
     assert enumerated and all(vertices for vertices, *_ in enumerated)
     assert all(type(c) is int for vertices, *_ in enumerated
                for v in vertices for c in v)
+
+
+def _search_space_cases():
+    """Fixed-seed (B, R, metric) cases for every branch of the solver set-up."""
+    rng = random.Random(31)
+    for d, m, n in ((1, 3, 5), (2, 2, 4), (3, 2, 3)):
+        yield rand_points(rng, m, d), rand_points(rng, n, d), Metric.L1
+    for _ in range(2):
+        yield rand_points(rng, 2, 2), rand_points(rng, 3, 2), Metric.LINF
+    yield rand_points(rng, 1, 3, -4, 4), rand_points(rng, 2, 3, -4, 4), Metric.LINF
+    for metric in (Metric.L1, Metric.LINF):  # coprime denominators, repeats
+        yield _rational_planar(rng, 2), _rational_planar(rng, 4), metric
+    yield point_set(2, [(1, 2), (1, 2)]), point_set(2, [(1, 2), (3, -1), (3, -1)]), Metric.LINF
+    yield point_set(3, []), rand_points(rng, 2, 3), Metric.LINF
+
+
+# sha256 of the reprs below, as the solver gave them when this test was
+# written: a change to the candidate set, its order, an answer, a stats
+# count or a refusal fails here
+SEARCH_SPACE_SHA = "170c2eedbe597a654da1eff78d6e9730edbe38eb79d870ff62af93dd21bed7ee"
+
+
+def test_search_space_is_pinned():
+    sha = hashlib.sha256()
+    for B, R, metric in _search_space_cases():
+        sha.update(repr(candidate_translations(B, R, metric)).encode())
+        sha.update(repr(emdut_hd(B, R, metric, return_stats=True)).encode())
+    planar = point_set(2, [(0, 0), (1, 5)]), point_set(2, [(i, 2 * i + 1) for i in range(4)])
+    solid = (point_set(3, [(0, 0, 0), (1, 1, 0)]),
+             point_set(3, [(1, 2, 3), (4, 0, -1), (2, 2, 2)]))
+    # the grid product, the Linf lower bound C(d*d, d) and the Linf subset count
+    refused = [(planar, metric, 10) for metric in Metric] + [
+        (solid, Metric.L1, 50), (solid, Metric.LINF, 50), (solid, Metric.LINF, 200)]
+    for (B, R), metric, budget in refused:
+        for solve in (candidate_translations, emdut_hd):
+            with pytest.raises(BudgetExceeded) as err:
+                solve(B, R, metric, budget)
+            sha.update(str(err.value).encode())
+    assert sha.hexdigest() == SEARCH_SPACE_SHA

@@ -156,6 +156,14 @@ def test_decide_ov_refuses_past_the_pair_guard(monkeypatch):
 def test_malformed_hardness_inputs_raise_value_error():
     with pytest.raises(ValueError, match="vector dimension must be >= 1"):
         OVInstance(((),), ((),))
+    # a bit is the int 0 or 1; 1.0 == 1 and True == 1, so the type is checked
+    for bit in (1.0, 0.0, True, False):
+        for x, y in (((bit, 0), (0, 1)), ((1, 0), (0, bit))):
+            with pytest.raises(ValueError, match=r"non-binary entry in vector \("):
+                OVInstance((x,), (y,))
+        for gadget in (ov_red_gadget, ov_blue_gadget):
+            with pytest.raises(ValueError, match="vector entries must be 0/1"):
+                gadget((0, bit))
     for edge in ((2, 1), (0, 1), (1, 4)):
         with pytest.raises(ValueError, match="bad edge"):
             Graph(3, frozenset({edge}))
@@ -421,6 +429,32 @@ def test_decomposed_value_validates_its_candidates():
             decomposed_value(gi.parts, Metric.LINF, [(1, 2, 1, 2, 0), tau])
     with pytest.raises(TypeError):
         decomposed_value(gi.parts, Metric.LINF, [(0.5, 2, 1, 2, 0)])
+
+
+def test_decomposed_value_validates_its_parts():
+    # each part meets the solvers' size contract in the first part's
+    # dimension, checked before any candidate is drawn; unchecked, a 2D
+    # blue beside a 3D red sums truncated axes to 0, and |B| > |R| or an
+    # empty red set fails deep inside the solve
+    one = (point_set(2, [(0, 0)]), point_set(2, [(1, 1)]))
+    drawn = []
+
+    def family():
+        drawn.append(1)
+        yield (0, 0)
+
+    for parts, message in (
+        ([(point_set(2, [(0, 0)]), point_set(3, [(1, 1, 1)]))], "dimension mismatch: 2 vs 3"),
+        ([one, (point_set(2, [(0, 0), (1, 1)]), point_set(2, [(1, 1)]))],
+         r"\|B\| = 2 exceeds \|R\| = 1"),
+        ([one, (point_set(2, [(0, 0)]), point_set(2, []))], r"\|B\| = 1 exceeds \|R\| = 0"),
+        ([one, (point_set(3, [(0, 0, 0)]), point_set(3, [(1, 1, 1)]))],
+         "2-dimensional point sets required, got 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            decomposed_value(parts, Metric.L1, family())
+    assert drawn == []
+    assert decomposed_value([one, one], Metric.L1, family()) == 4
 
 
 def test_decomposed_value_solves_each_chunk_before_drawing_the_next(monkeypatch):
