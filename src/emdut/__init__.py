@@ -51,5 +51,9 @@ from .sweep1d import (
     emdut_1d_symmetric,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the submodules are bound here by their import, but are not exported
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .core import (
     Metric,
     PointFormatError,
     PointSet,
+    _numbered_fields,
     format_scalar,
     parse_point_set,
     point_set_1d,
@@ -113,12 +114,9 @@ def _cmd_solve(args) -> int:
 
 def _read_vectors(path: str) -> tuple:
     rows = []
-    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for line_no, fields in _numbered_fields(_read_text(path)):
         try:
-            rows.append(tuple(int(tok) for tok in line.split()))
+            rows.append(tuple(map(int, fields)))
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: expected 0/1 entries")
     if not rows:
@@ -127,12 +125,12 @@ def _read_vectors(path: str) -> tuple:
 
 
 def _read_graph(path: str) -> Graph:
-    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
+    lines = [fields for _, fields in _numbered_fields(_read_text(path))]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     try:
-        n_nodes = int(lines[0])
-        edges = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
+        (n_nodes,) = map(int, lines[0])
+        edges = [tuple(map(int, fields)) for fields in lines[1:]]
         if any(len(e) != 2 for e in edges):
             raise ValueError
     except ValueError:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
 Point = tuple[Fraction, ...]
@@ -60,10 +60,16 @@ def scalar(value) -> Fraction:
 
     Ints, the common case, are checked first, and ``Fraction``, whose
     ``isinstance`` check walks the numbers ABCs for anything else, last.
+    A string that is a plain ASCII integer of at most 640 digits, the
+    common input, is read by ``int`` directly, to the value ``Fraction``
+    would give at a few times the cost; every other string goes through
+    ``Fraction``.
     """
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _PLAIN_INT.fullmatch(value):
+            return Fraction(int(value))
         if len(value) > _MAX_LITERAL:
             raise ValueError(f"literal longer than {_MAX_LITERAL} characters")
         exp = _EXPONENT.search(value)
@@ -186,43 +192,45 @@ def format_scalar(x: Fraction) -> str:
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
+def _numbered_fields(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of ``text``.
+
+    Numbers are 1-based and count the blank lines too; fields are split
+    on whitespace, so CRLF line ends and tabs read as plain ones.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if fields:
+            yield line_no, fields
+
+
 def parse_point_set(text: str) -> PointSet:
     """Parse the point-set text format.
 
     Line 1 is the dimension d, at most ``_MAX_DIMENSION``; each subsequent
     non-empty line holds d whitespace-separated numbers (integer, fraction
-    "p/q", or finite decimal).  CRLF is accepted.  Errors carry the
-    1-based line number.
-
-    A plain ASCII integer of at most 640 digits, the common case, is read
-    by ``int`` directly; every other number goes through :func:`scalar`,
-    which gives the same value for such an integer at a few times the cost.
+    "p/q", or finite decimal), each read by :func:`scalar`.  CRLF is
+    accepted.  Errors carry the 1-based line number.
     """
-    plain = _PLAIN_INT.fullmatch
-    lines = text.split("\n")
     dim = None
     rows: list[Point] = []
-    for idx, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for idx, fields in _numbered_fields(text):
         if dim is None:
             try:
-                dim = int(line)
+                (dim,) = map(int, fields)
             except ValueError:
+                line = text.split("\n")[idx - 1].strip()  # quoted as written
                 raise PointFormatError(idx, f"expected integer dimension, got {line!r}")
             if not 1 <= dim <= _MAX_DIMENSION:
                 raise PointFormatError(
-                    idx, f"dimension must be in [1, {_MAX_DIMENSION}], got {line}")
+                    idx, f"dimension must be in [1, {_MAX_DIMENSION}], got {fields[0]}")
             continue
-        fields = line.split()
         if len(fields) != dim:
             raise PointFormatError(
                 idx, f"expected {dim} coordinates, got {len(fields)}"
             )
         try:
-            rows.append(tuple(Fraction(int(f)) if plain(f) else scalar(f)
-                              for f in fields))
+            rows.append(tuple(map(scalar, fields)))
         except ValueError as exc:
             raise PointFormatError(idx, str(exc)) from None
     if dim is None:

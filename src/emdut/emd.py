@@ -7,7 +7,9 @@ injective blue-to-red matching):
   :func:`_monotone_rows`, in O(|B|*(|R|-|B|+1)) on the sorted integer
   frame of :func:`_sorted_frame`; an optimal matching always exists that
   is monotone, so the DP is exact.  Every 1D routine of the package runs
-  on that frame.  The alignment oracle and the translation solver's
+  on that frame, and each one that returns a matching finds it on sorted
+  positions and maps it back to the input indices by the frame's one
+  map.  The alignment oracle and the translation solver's
   per-axis bounds read only the value, so they run
   :func:`_monotone_value`, the same DP on one rolling row.
 * ``emd_hungarian``    -- general-dimension mincost matching via shortest
@@ -78,18 +80,24 @@ def _frame(blue: PointSet, red: PointSet, *extra):
 
 
 def _sorted_frame(blue: PointSet, red: PointSet):
-    """(bs, rs, border, rorder, den): 1D points on one integer frame, sorted.
+    """(bs, rs, to_input, den): 1D points on one integer frame, sorted.
 
     ``bs`` and ``rs`` are the scaled coordinates of :func:`_frame` in
-    stable sorted order (equal coordinates keep index order); ``border``
-    and ``rorder`` map sorted positions back to the original indices.
+    stable sorted order (equal coordinates keep index order).
+    ``to_input`` maps a matching on sorted positions, whose entry i is
+    the red position of blue position i, to the matching tuple on the
+    input indices.
     """
     bs, rs, _, den = _frame(blue, red)
     bx = [p[0] for p in bs]
     rx = [p[0] for p in rs]
     border = sorted(range(len(bx)), key=bx.__getitem__)
     rorder = sorted(range(len(rx)), key=rx.__getitem__)
-    return [bx[i] for i in border], [rx[j] for j in rorder], border, rorder, den
+
+    def to_input(phi: Sequence[int]) -> Matching:
+        return tuple(rorder[k] for _, k in sorted(zip(border, phi)))
+
+    return [bx[i] for i in border], [rx[j] for j in rorder], to_input, den
 
 
 def _monotone_rows(bs: Sequence[int], rs: Sequence[int], shift: int = 0) -> list[list[int]]:
@@ -142,16 +150,16 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
     m, _ = _pair_sizes(blue, red, 1)
     if m == 0:
         return Fraction(0), ()
-    bs, rs, border, rorder, den = _sorted_frame(blue, red)
+    bs, rs, to_input, den = _sorted_frame(blue, red)
     rows = _monotone_rows(bs, rs)
-    assignment = [0] * m
+    phi = []
     k = 0
     for i in range(m):
         # take the first red that some optimal completion matches to blue i
         while abs(bs[i] - rs[i + k]) + rows[i + 1][k] != rows[i][k]:
             k += 1
-        assignment[border[i]] = rorder[i + k]
-    return Fraction(rows[0][0], den), tuple(assignment)
+        phi.append(i + k)
+    return Fraction(rows[0][0], den), to_input(phi)
 
 
 def _min_cost_assignment(

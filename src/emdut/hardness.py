@@ -69,7 +69,7 @@ class OVInstance:
         d = len(self.x_vectors[0])
         if d < 1:
             raise ValueError("vector dimension must be >= 1")
-        for v in self.x_vectors + self.y_vectors:
+        for v in (*self.x_vectors, *self.y_vectors):
             if len(v) != d:
                 raise ValueError("inconsistent vector dimensions")
             if not all(map(_is_bit, v)):

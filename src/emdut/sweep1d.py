@@ -77,14 +77,11 @@ def emdut_1d_symmetric(blue: PointSet, red: PointSet):
         raise ValueError(f"|B| = {m} is less than |R| = {n}")
     if n == 0:
         return Fraction(0), Fraction(0), ()
-    bs, rs, border, rorder, den = _sorted_frame(blue, red)
+    bs, rs, to_input, den = _sorted_frame(blue, red)
     diffs = sorted(r - b for b, r in zip(bs, rs))
     tau = diffs[(n - 1) // 2]
     value = sum(abs(tau - d) for d in diffs)
-    assignment = [0] * n
-    for i in range(n):
-        assignment[border[i]] = rorder[i]
-    return Fraction(value, den), Fraction(tau, den), tuple(assignment)
+    return Fraction(value, den), Fraction(tau, den), to_input(range(n))
 
 
 def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
@@ -102,7 +99,7 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
         )
     if m == 0:
         return Fraction(0)
-    bs, rs, _, _, den = _sorted_frame(blue, red)
+    bs, rs, _, den = _sorted_frame(blue, red)
     offsets = {r - b for b in bs for r in rs}
     return Fraction(min(_monotone_value(bs, rs, t) for t in offsets), den)
 
@@ -441,15 +438,12 @@ def emdut_1d_sweep(
                                      [] if check else None))
         return out
 
-    bc, rc, border, rorder, denom = _sorted_frame(blue, red)
+    bc, rc, to_input, denom = _sorted_frame(blue, red)
     sweep = _Sweep(bc, rc, _ENVELOPES[envelope], check)
     best_num, best_p, best_q, best_phi, pieces = sweep.run(collect_pieces)
 
-    assignment = [0] * m
-    for j, v in enumerate(best_phi):
-        assignment[border[j]] = rorder[v]
     den = best_q * denom
-    result = (Fraction(best_num, den), Fraction(best_p, den), tuple(assignment))
+    result = (Fraction(best_num, den), Fraction(best_p, den), to_input(best_phi))
     if return_stats:
         descaled = None if pieces is None else [
             (Fraction(lo_p, lo_q * denom), Fraction(hi_p, hi_q * denom), fs,

@@ -454,6 +454,38 @@ def test_unreadable_or_malformed_inputs_exit_2_naming_the_file(capsys, tmp_path)
         assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+def test_vector_and_graph_files_read_any_line_ends_and_blank_lines(capsys, tmp_path):
+    # CRLF line ends, tabs and blank lines anywhere give the files the plain
+    # spelling gives; line numbers count the blank lines
+    def odd(text):
+        rows = text.replace(" ", "\t ").splitlines()
+        return ("\r\n \r\n" + "\r\n\t\r\n".join(rows) + "\r\n\r\n\n").encode()
+
+    plain = {"x": "1 0 1\n0 1 1\n1 1 0\n", "y": "0 1 0\n1 1 1\n0 0 1\n",
+             "g": "4\n1 2\n2 3\n1 3\n3 4\n"}
+    outputs = {}
+    for spelling in ("plain", "odd"):
+        paths = {}
+        for name, text in plain.items():
+            paths[name] = tmp_path / f"{spelling}_{name}.txt"
+            paths[name].write_bytes(odd(text) if spelling == "odd" else text.encode())
+        for argv in (["gen", "ov", "--vectors", str(paths["x"]), str(paths["y"])],
+                     ["gen", "clique", "--variant", "l1-sym", "--k", "3",
+                      "--graph", str(paths["g"])]):
+            prefix = tmp_path / f"{spelling}_{argv[1]}"
+            assert run(capsys, [*argv, "--out-prefix", str(prefix)])[0] == 0
+            for suffix in ("_blue.txt", "_red.txt", "_meta.json"):
+                outputs[spelling, argv[1], suffix] = Path(f"{prefix}{suffix}").read_bytes()
+    assert len(outputs) == 12
+    for (spelling, family, suffix), data in outputs.items():
+        assert data == outputs["plain", family, suffix], (spelling, family, suffix)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\r\n\t\r\n1\t0\r\n\r\n1 x\r\n\r\n")
+    code, out, err = run(capsys, ["gen", "ov", "--vectors", str(bad), str(bad),
+                                  "--out-prefix", str(tmp_path / "bad")])
+    assert (code, out, err) == (2, "", f"error: {bad}: line 5: expected 0/1 entries\n")
+
+
 def test_gen_then_solve_round_trip(capsys, tmp_path):
     # an instance with an orthogonal pair must solve to exactly the
     # threshold recorded in the sidecar

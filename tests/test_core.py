@@ -1,10 +1,13 @@
 import random
 from enum import IntEnum
 from fractions import Fraction as F
+from types import ModuleType
 
 import pytest
 
+import emdut
 from emdut.core import (
+    _PLAIN_INT,
     Metric,
     PointFormatError,
     PointSet,
@@ -269,8 +272,9 @@ def _digits(n):
 
 
 def test_parse_reads_every_token_as_scalar_does():
-    # plain integer tokens skip ``scalar``; each must still give its value,
-    # and every other token its error text
+    # the parser reads every token by ``scalar``, whose plain-integer path
+    # skips ``Fraction``; each token must still give its value, or its
+    # error text, and a plain integer the value ``Fraction`` gives it
     corpus = [
         "0", "+0", "-0", "7", "+7", "-7", "007", "-000123", "+0009", "0" * 700,
         "9" * 640, "-" + "9" * 640, "1" + "0" * 639, "9" * 641, "+" + "9" * 641,
@@ -295,3 +299,28 @@ def test_parse_reads_every_token_as_scalar_does():
         except PointFormatError as exc:
             got = str(exc)
         assert got == want and type(got) is type(want), tok[:20]
+        if _PLAIN_INT.fullmatch(tok):
+            assert scalar(tok) == F(tok) and type(scalar(tok)) is F, tok[:20]
+
+
+def test_package_exports_names_not_modules():
+    # importing the submodules binds them on the package; ``import *``
+    # gives the public names alone, every one the package has exported
+    assert not [name for name in emdut.__all__
+                if isinstance(getattr(emdut, name), ModuleType)]
+    assert set(emdut.__all__) >= {
+        "BudgetExceeded", "GadgetInstance", "Graph", "Matching", "Metric",
+        "OVInstance", "Point", "PointFormatError", "PointSet", "Scalar",
+        "SweepStats", "candidate_translations", "clique_instance",
+        "clique_instance_value", "clique_l1_asym", "clique_l1_sym",
+        "clique_linf_sym", "combine_gadgets", "decide_clique", "decide_ov",
+        "emd_1d_monotone", "emd_bruteforce", "emd_hungarian",
+        "emdut_1d_alignment_oracle", "emdut_1d_sweep", "emdut_1d_symmetric",
+        "emdut_hd", "format_scalar", "has_clique", "has_orthogonal_pair",
+        "lp_distance", "matching_cost", "ov_blue_gadget", "ov_red_gadget",
+        "ov_reduction", "parse_point_set", "point", "point_set",
+        "point_set_1d", "scalar", "serialize_point_set",
+    }
+    namespace = {}
+    exec("from emdut import *", namespace)
+    assert "envelope" not in namespace and "sweep1d" not in namespace

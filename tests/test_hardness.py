@@ -164,6 +164,12 @@ def test_malformed_hardness_inputs_raise_value_error():
         for gadget in (ov_red_gadget, ov_blue_gadget):
             with pytest.raises(ValueError, match="vector entries must be 0/1"):
                 gadget((0, bit))
+    # the two sides may come as a list and a tuple; each is checked as given
+    inst = OVInstance([[1, 0]], ((0, 1),))
+    assert has_orthogonal_pair(inst)
+    for x, y in (([[1, 2]], ((0, 1),)), ([[1, 0]], ((0, 2),))):
+        with pytest.raises(ValueError, match="non-binary entry in vector"):
+            OVInstance(x, y)
     for edge in ((2, 1), (0, 1), (1, 4)):
         with pytest.raises(ValueError, match="bad edge"):
             Graph(3, frozenset({edge}))
