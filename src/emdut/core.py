@@ -44,6 +44,16 @@ class Metric(Enum):
         raise ValueError(f"unknown metric {text!r} (expected 'l1' or 'linf')")
 
 
+def _check_metric(metric) -> None:
+    """Refuse anything but a ``Metric`` member, such as the string "l1".
+
+    Every solver tests only ``metric is Metric.L1`` or ``Metric.LINF`` and
+    reads anything else as the other metric, so each checks it first.
+    """
+    if not isinstance(metric, Metric):
+        raise TypeError(f"metric must be a Metric, not {type(metric).__name__}")
+
+
 class PointFormatError(ValueError):
     """Malformed point-set text; carries the offending 1-based line number."""
 
@@ -136,6 +146,7 @@ def point_set_1d(values: Iterable) -> PointSet:
 
 def lp_distance(a: Point, b: Point, metric: Metric) -> Fraction:
     """Exact L1 or Linf distance between two points of equal dimension."""
+    _check_metric(metric)
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     diffs = [abs(x - y) for x, y in zip(a, b)]
@@ -164,6 +175,7 @@ def matching_cost(
     tau: Sequence[Fraction],
 ) -> Fraction:
     """Total length of the matching after translating the blue set by tau."""
+    _check_metric(metric)
     if blue.dim != red.dim:
         raise ValueError("blue and red dimension mismatch")
     moved = blue.translate(tau)

@@ -46,7 +46,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Matching, Metric, PointSet
+from .core import Matching, Metric, PointSet, _check_metric
 
 _INF = float("inf")  # comparison-only sentinel; never mixed into results
 
@@ -148,8 +148,6 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
     returned matching is expressed over the original indices.
     """
     m, _ = _pair_sizes(blue, red, 1)
-    if m == 0:
-        return Fraction(0), ()
     bs, rs, to_input, den = _sorted_frame(blue, red)
     rows = _monotone_rows(bs, rs)
     phi = []
@@ -306,6 +304,7 @@ def emd_hungarian(
     equal-cost matchings the lexicographically smallest assignment list
     is returned.
     """
+    _check_metric(metric)
     m, _ = _pair_sizes(blue, red)
     if m == 0:
         return Fraction(0), ()
@@ -316,11 +315,10 @@ def emd_hungarian(
 
 def emd_bruteforce(blue: PointSet, red: PointSet, metric: Metric) -> Fraction:
     """Minimum over all injections, at tau = 0.  Guarded to |R| <= 8."""
+    _check_metric(metric)
     m, n = _pair_sizes(blue, red)
     if n > 8:
         raise ValueError(f"|R| = {n} exceeds the brute-force guard of 8")
-    if m == 0:
-        return Fraction(0)
     cost = _cost_matrix(blue.points, red.points, metric)
     best = None
     for perm in itertools.permutations(range(n), m):

@@ -39,7 +39,9 @@ Linf in dimension >= 3 evaluates the exact EMD at every vertex of the
 full arrangement.  The points are framed once and doubled, so every
 vertex is an integer there (see ``_linf_vertices``); the vertices are
 found by fraction-free elimination on ints, and the costs and the
-witness are solved on that frame too.  A candidate budget, checked
+witness are solved on that frame too.  The vertices are a set in no
+order; the optimum is the smallest (frame cost, frame tau) over them,
+the key the grid walk compares.  A candidate budget, checked
 against the candidate count before anything is enumerated, guards both
 paths.
 """
@@ -51,7 +53,7 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .core import Metric, Point, PointSet, _int_str, point, zero_point
+from .core import Metric, Point, PointSet, _check_metric, _int_str, point, zero_point
 from .emd import (
     _assignment_value,
     _cost_matrix,
@@ -86,8 +88,8 @@ class BudgetExceeded(RuntimeError):
 
 
 def _linf_vertices(blue: PointSet, red: PointSet, budget: int):
-    """(vertices, bs, rs, den): the Linf arrangement's vertices, sorted, on one
-    integer frame with the points.
+    """(vertices, bs, rs, den): the Linf arrangement's distinct vertices, a set
+    in no order, on one integer frame with the points.
 
     The frame is ``emd._frame`` doubled.  The planes are tau_i + s*tau_j = c,
     as (i, j, s, c): the axis families (i, i, 0) first, then s = -1 and +1
@@ -119,7 +121,7 @@ def _linf_vertices(blue: PointSet, red: PointSet, budget: int):
     planes = [(*f, c) for f, cs in zip(families, offsets) for c in cs]
     vertices = {_vertex(combo) for combo in itertools.combinations(planes, d)}
     vertices.discard(None)
-    return sorted(vertices), bs, rs, 2 * den
+    return vertices, bs, rs, 2 * den
 
 
 def _vertex(planes):
@@ -290,18 +292,19 @@ def candidate_translations(
     its lower bound cannot rule out.  For Linf in d >= 3 it is every
     vertex of the axis-plus-diagonal arrangement, which the solver
     enumerates on ints on the points' doubled frame and evaluates in
-    full; here they are scaled back.
+    full; here they are scaled back.  Either set is sorted once, on the
+    frame: den > 0, so the frame ints sort as the Fractions do.
     """
+    _check_metric(metric)
     m, _ = _pair_sizes(blue, red)
     if m == 0:
         return ()
     if metric is Metric.L1 or blue.dim <= 2:
-        # den > 0, so the frame ints sort as the Fractions do
         _, _, den, rotated, offsets, _ = _grid(blue, red, metric, budget)
-        taus = sorted(_unrotate(tau, rotated) for tau in itertools.product(*offsets))
+        taus = (_unrotate(tau, rotated) for tau in itertools.product(*offsets))
     else:
         taus, _, _, den = _linf_vertices(blue, red, budget)
-    return tuple(tuple(Fraction(c, den) for c in tau) for tau in taus)
+    return tuple(tuple(Fraction(c, den) for c in tau) for tau in sorted(taus))
 
 
 def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction:
@@ -309,12 +312,11 @@ def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction
 
     ``tau`` is coerced like any coordinate, so a float raises ``TypeError``.
     """
-    m, _ = _pair_sizes(blue, red)
+    _check_metric(metric)
+    _pair_sizes(blue, red)
     tau = point(tau)
     if len(tau) != blue.dim:
         raise ValueError(f"translation has {len(tau)} coordinates, expected {blue.dim}")
-    if m == 0:
-        return Fraction(0)
     bs, rs, (t,), den = _frame(blue, red, tau)
     return Fraction(_assignment_value(_cost_matrix(bs, rs, metric, t)), den)
 
@@ -333,6 +335,7 @@ def emdut_hd(
     Returns (value, tau, matching); with ``return_stats=True`` the number
     of candidate translations and the number evaluated are appended.
     """
+    _check_metric(metric)
     m, _ = _pair_sizes(blue, red)
     d = blue.dim
     if m == 0:
@@ -344,10 +347,11 @@ def emdut_hd(
     else:
         vertices, bs, rs, den = _linf_vertices(blue, red, budget)
         candidates = evaluated = len(vertices)
-        # vertices ascend and min keeps the first of equal costs, so this is
-        # the smallest (frame cost, frame tau), and den > 0 keeps that order
-        tau, cost = min(((t, _cost_matrix(bs, rs, metric, t)) for t in vertices),
-                        key=lambda tc: _assignment_value(tc[1]))
+        # the smallest (frame cost, frame tau), the key the grid walk compares;
+        # den > 0, so it is the smallest optimal tau in the original frame too
+        _, tau = min((_assignment_value(_cost_matrix(bs, rs, metric, t)), t)
+                     for t in vertices)
+        cost = _cost_matrix(bs, rs, metric, tau)
     best_tau = tuple(Fraction(c, den) for c in tau)
     # frame costs are den times the metric's: same witness, value total/den
     total, phi = _lex_min_assignment(cost)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Metric, PointSet, point, point_set, point_set_1d
+from .core import Metric, PointSet, _check_metric, point, point_set, point_set_1d
 from .emd import _as_int_matrix, _assignment_value, _cost_matrix, _pair_sizes
 # _min_cost_assignment is unused here but kept importable: the benchmark's
 # tracer patches ``emdut.hardness._min_cost_assignment`` by name.
@@ -115,9 +115,9 @@ class Graph:
 
 
 def has_clique(g: Graph, k: int) -> bool:
-    if k <= 1:
-        return k == 1 and g.n_nodes >= 1 or k <= 0
-    for nodes in itertools.combinations(range(1, g.n_nodes + 1), k):
+    """Brute force: do some k nodes share an edge pairwise?  k <= 0 asks for
+    the empty set, which always does."""
+    for nodes in itertools.combinations(range(1, g.n_nodes + 1), max(k, 0)):
         if all(g.adjacent(u, v) for u, v in itertools.combinations(nodes, 2)):
             return True
     return False
@@ -489,6 +489,7 @@ def decomposed_value(
     :func:`clique_witness_grid` is never held whole.  Candidates whose
     partial sum already exceeds the best so far are abandoned early.
     """
+    _check_metric(metric)
     dim = parts[0][0].dim if parts else None
     for b, r in parts:
         _pair_sizes(b, r, dim)

@@ -12,14 +12,14 @@ the cost function.  Each blue keeps its switch piece, the line in tau of
 the cost change if it moved on to its next red.  A run is only its blue
 range; its suffix-cost envelope lines are the suffix sums of its pieces,
 computed when its root is queried and never stored, and a move computes
-pieces only for the blues it moves.  Two event kinds
-drive the sweep: alignment events (a blue meets a red, changing one
-slope and one piece) and reassignment events (a run suffix shifts to the
-next reds, triggered by a root of the run's envelope).  Alignments at
-one time only mark their runs, and each marked run's root is queried
-once, after the last of them; the cost is compared once per event time,
-as it is continuous, and the best matching is copied only before the
-matching next changes.
+pieces only for the blues it moves.  Two event kinds drive the sweep:
+alignment events (a blue meets a red, changing one slope and one piece)
+and reassignment events (a run suffix shifts to the next reds, triggered
+by a root of the run's envelope).  Alignments at one time only mark
+their runs, each run once, in an insertion-ordered record, and each
+marked run's root is queried once, in marking order, after the last of
+them; the cost is compared once per event time, as it is continuous,
+and the best matching is copied only before the matching next changes.
 
 All three routines here, the alignment oracle included, run on one
 frame, ``emd._sorted_frame``: the coordinates scaled once by the lcm of
@@ -97,14 +97,12 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
         raise ValueError(
             f"|B|*|R| = {m * n} exceeds the oracle guard of {ORACLE_PAIR_LIMIT}"
         )
-    if m == 0:
-        return Fraction(0)
     bs, rs, _, den = _sorted_frame(blue, red)
     offsets = {r - b for b in bs for r in rs}
-    return Fraction(min(_monotone_value(bs, rs, t) for t in offsets), den)
+    return Fraction(min((_monotone_value(bs, rs, t) for t in offsets), default=0), den)
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity, as a key of _Sweep.marked
 class _Run:
     rid: int
     bs: int            # first blue (sorted order)
@@ -112,7 +110,6 @@ class _Run:
     live: bool         # phi[bt] is not the last red, so the run can still move
     epoch: int = 0         # heap entries of older epochs are stale
     event: object = None   # (p, q, blue) of the one live queued reassignment
-    marked: bool = False   # its pieces changed at the current alignment time
 
 
 class _Sweep:
@@ -141,7 +138,9 @@ class _Sweep:
         self.pb = [0] * self.m  # switch piece intercepts
         self.root_query = root_query  # an entry of _ENVELOPES, called with self
         self.blue_run = [None] * self.m  # blue j -> the _Run holding it
-        self.marked = []  # runs whose pieces changed at the current alignment time
+        # runs whose pieces changed at the current alignment time, as keys in
+        # the order they were first marked, the order they are rescheduled in
+        self.marked = {}
         self.next_rid = 0
         self.fs = -self.m
         self.fi = sum(rc[j] - bc[j] for j in range(self.m))
@@ -235,7 +234,6 @@ class _Sweep:
 
     def _reschedule_marked(self, t):
         for run in self.marked:
-            run.marked = False
             self._reschedule(run, t, 1)
         self.marked.clear()
 
@@ -243,13 +241,14 @@ class _Sweep:
         # check-mode only: each run matches its blues to consecutive reds and
         # is live unless its last red is the last one; a live run's pieces
         # equal pieces recomputed from scratch strictly inside the interval
+        assert not self.marked
         phi, j = self.phi, 0
         while j < self.m:
             run = self.blue_run[j]
             bs, bt = run.bs, run.bt
             assert bs == j and all(r is run for r in self.blue_run[j:bt + 1])
             assert phi[j:bt + 1] == list(range(phi[j], phi[bt] + 1))
-            assert run.live == (phi[bt] < self.n - 1) and not run.marked
+            assert run.live == (phi[bt] < self.n - 1)
             if run.live:
                 # each piece from its definition, at tau = t2/2 strictly
                 # between two integers, where no blue meets a red; all doubled
@@ -268,7 +267,8 @@ class _Sweep:
         # blue j meets its own red w (its cost's slope gains 2) or the next
         # red (its switch piece's slope flips sign); the main loop skips the
         # later reds, which change nothing.  The run is only marked: it is
-        # rescheduled once, after every alignment at this time.
+        # rescheduled once, after every alignment at this time, and marking
+        # it again keeps its place in the marking order.
         if v == w:
             self.fs += 2
             self.fi += 2 * (self.bc[j] - self.rc[v])
@@ -277,9 +277,7 @@ class _Sweep:
             d = 2 if v == w else -2
             self.pa[j] -= d
             self.pb[j] += d * (self.rc[v] - self.bc[j])
-            if not run.marked:
-                run.marked = True
-                self.marked.append(run)
+            self.marked[run] = None
 
     def _handle_move(self, run: _Run, p, q):
         rp, rq, j = run.event

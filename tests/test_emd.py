@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from emdut.core import Metric, lp_distance, point_set, point_set_1d
+from emdut.core import Metric, lp_distance, matching_cost, point_set, point_set_1d
 from emdut.emd import (
     _min_cost_assignment,
     _monotone_rows,
@@ -20,7 +20,13 @@ from emdut.emdut_hd import (
     emd_value_at,
     emdut_hd,
 )
-from emdut.sweep1d import emdut_1d_alignment_oracle, emdut_1d_sweep, emdut_1d_symmetric
+from emdut.hardness import decomposed_value
+from emdut.sweep1d import (
+    SweepStats,
+    emdut_1d_alignment_oracle,
+    emdut_1d_sweep,
+    emdut_1d_symmetric,
+)
 
 from conftest import huge_lcm_points, rand_ints_1d, rand_points
 
@@ -344,3 +350,65 @@ def test_every_solver_checks_one_contract_in_one_wording(name):
             solve(planar_b, planar_r)
     else:
         solve(planar_b, planar_r)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_empty_blue_set_costs_nothing_on_every_solver(d, metric, n):
+    # with no blue to match, every value is 0, every matching empty and
+    # every reported translation 0, with or without reds; the reprs are
+    # compared, so each value is an exact Fraction
+    B, R = point_set(d, []), point_set(d, [[i + 1] * d for i in range(n)])
+    zero, tau = (Fraction(0),) * d, (Fraction(1, 2),) * d
+    answers = [
+        (emd_hungarian(B, R, metric), (Fraction(0), ())),
+        (emd_bruteforce(B, R, metric), Fraction(0)),
+        (emd_value_at(B, R, metric, tau), Fraction(0)),
+        (decomposed_value([(B, R)], metric, [tau]), Fraction(0)),
+        (candidate_translations(B, R, metric), ()),
+        (emdut_hd(B, R, metric, return_stats=True), (Fraction(0), zero, (), 0, 0)),
+    ]
+    if d == 1:
+        answers += [
+            (emd_1d_monotone(B, R), (Fraction(0), ())),
+            (emdut_1d_alignment_oracle(B, R), Fraction(0)),
+        ] + [
+            (emdut_1d_sweep(B, R, envelope=envelope, return_stats=True,
+                            collect_pieces=True, check=True),
+             (Fraction(0), Fraction(0), (), SweepStats(0, 0, 0, [], [])))
+            for envelope in ("naive", "tree")
+        ]
+        if n == 0:
+            answers.append((emdut_1d_symmetric(B, R), (Fraction(0), Fraction(0), ())))
+        else:
+            with pytest.raises(ValueError, match=r"^\|B\| = 0 is less than \|R\| = 2$"):
+                emdut_1d_symmetric(B, R)
+    for got, want in answers:
+        assert repr(got) == repr(want)
+
+
+# name -> call(B, R, metric) of every entry point that takes a metric
+_METRIC_CALLS = {
+    "emd_hungarian": emd_hungarian,
+    "emd_bruteforce": emd_bruteforce,
+    "emd_value_at": lambda B, R, metric: emd_value_at(B, R, metric, (0, 0)),
+    "emdut_hd": emdut_hd,
+    "candidate_translations": candidate_translations,
+    "decomposed_value": lambda B, R, metric: decomposed_value([(B, R)], metric, [(0, 0)]),
+    "matching_cost": lambda B, R, metric: matching_cost(B, R, metric, [0] * len(B), (0, 0)),
+    "lp_distance": lambda B, R, metric: lp_distance((0, 0), R.points[0], metric),
+}
+
+
+@pytest.mark.parametrize("metric", ["l1", "linf", None])
+@pytest.mark.parametrize("name", list(_METRIC_CALLS))
+def test_a_metric_that_is_not_a_metric_member_is_refused(name, metric):
+    # each entry point used to read anything but Metric.L1 as Linf, or, in
+    # the planar grid walk, anything but Metric.LINF as L1: "l1" gave the
+    # Linf value 4 here, where L1 gives 7
+    R = point_set(2, [(3, 4)])
+    message = f"^metric must be a Metric, not {type(metric).__name__}$"
+    for B in (point_set(2, [(0, 0)]), point_set(2, [])):
+        with pytest.raises(TypeError, match=message):
+            _METRIC_CALLS[name](B, R, metric)

@@ -233,6 +233,26 @@ def test_pruning_keeps_the_lexicographically_smallest_optimum():
             assert emdut_hd(B, R, metric) == (value, tau, phi)
 
 
+def test_linf_solid_ties_keep_the_smallest_optimal_vertex():
+    # Coordinates in {0, 1, 2} with a repeated blue or red point leave 4 to
+    # 18 optimal vertices of the Linf arrangement in d = 3.  The solver must
+    # report the smallest (value, tau) of the Fraction arrangement, scored
+    # one vertex at a time, in whatever order it enumerates its own.
+    rng = random.Random(33)
+    for case in range(16):
+        B, R = ([tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(size)]
+                for size in (2, 2 + case % 2))
+        if case % 2:
+            R[-1] = R[0]
+        else:
+            B[1] = B[0]
+        B, R = point_set(3, B), point_set(3, R)
+        scored = sorted((emd_value_at(B, R, Metric.LINF, t), t)
+                        for t in arrangement_vertices(hyperplanes_linf(B, R), 3))
+        assert scored[1][0] == scored[0][0]  # at least two optima
+        assert emdut_hd(B, R, Metric.LINF)[:2] == scored[0]
+
+
 def test_grid_search_never_builds_the_candidate_product():
     # 18 x 18 points with distinct offsets: 18^4 = 104976 candidates, whose
     # product alone would take several MB.  The reds are a noisy translate
