@@ -4,8 +4,9 @@ Solve results go to stdout as a single JSON object with exact rational
 values rendered as reduced "p" or "p/q" strings.  Exit codes: 0 on
 success, 1 when a candidate budget is exhausted, 2 on bad input (with a
 one-line diagnostic on stderr).  Bad input is any ``ValueError``, from
-the readers here (their messages name the file) or from the library;
-:func:`main` alone turns it and ``BudgetExceeded`` into exit codes.
+the library or from an input file; every input file is read by
+:func:`_read`, so each failure to open, decode or parse one names the
+file.  :func:`main` alone turns it and ``BudgetExceeded`` into exit codes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 
 from .core import (
     Metric,
-    PointFormatError,
     PointSet,
     _numbered_fields,
     format_scalar,
@@ -47,21 +47,15 @@ EXIT_BUDGET = 1
 EXIT_INPUT = 2
 
 
-def _read_text(path: str) -> str:
-    """The whole text of an input file; a file that cannot be read is an
-    ``ValueError`` naming the path."""
+def _read(path: str, parse):
+    """``parse`` of the text of an input file.  Whatever fails, opening,
+    decoding or parsing, is a ``ValueError`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _read_points(path: str) -> PointSet:
-    text = _read_text(path)
-    try:
-        return parse_point_set(text)
-    except PointFormatError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -71,8 +65,8 @@ def _emit(payload) -> None:
 
 
 def _cmd_solve(args) -> int:
-    blue = _read_points(args.blue)
-    red = _read_points(args.red)
+    blue = _read(args.blue, parse_point_set)
+    red = _read(args.red, parse_point_set)
     t0 = time.perf_counter()
     stats = {"events": None, "candidates": None, "evaluated": None}
     metric = Metric.parse(args.metric) if "metric" in args else None
@@ -112,42 +106,38 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _read_vectors(path: str) -> tuple:
+def _parse_vectors(text: str) -> tuple:
     rows = []
-    for line_no, fields in _numbered_fields(_read_text(path)):
+    for line_no, fields in _numbered_fields(text):
         try:
             rows.append(tuple(map(int, fields)))
         except ValueError:
-            raise ValueError(f"{path}: line {line_no}: expected 0/1 entries")
+            raise ValueError(f"line {line_no}: expected 0/1 entries")
     if not rows:
-        raise ValueError(f"{path}: no vectors")
+        raise ValueError("no vectors")
     return tuple(rows)
 
 
-def _read_graph(path: str) -> Graph:
-    lines = [fields for _, fields in _numbered_fields(_read_text(path))]
+def _parse_graph(text: str) -> Graph:
+    lines = [fields for _, fields in _numbered_fields(text)]
     if not lines:
-        raise ValueError(f"{path}: empty graph file")
+        raise ValueError("empty graph file")
     try:
         (n_nodes,) = map(int, lines[0])
         edges = [tuple(map(int, fields)) for fields in lines[1:]]
         if any(len(e) != 2 for e in edges):
             raise ValueError
     except ValueError:
-        raise ValueError(f"{path}: expected 'N' then 'u v' edge lines")
-    try:
-        return Graph.from_edges(n_nodes, edges)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError("expected 'N' then 'u v' edge lines")
+    return Graph.from_edges(n_nodes, edges)
 
 
 def _cmd_gen(args) -> int:
     if args.family == "ov":
-        xs = _read_vectors(args.vectors[0])
-        ys = _read_vectors(args.vectors[1])
+        xs, ys = (_read(path, _parse_vectors) for path in args.vectors)
         gi = ov_reduction(OVInstance(xs, ys))
     else:
-        graph = _read_graph(args.graph)
+        graph = _read(args.graph, _parse_graph)
         gi = clique_instance(graph, args.k, args.variant)
     prefix = args.out_prefix
     # json writes the tuples of meta as lists; only Fractions need a format

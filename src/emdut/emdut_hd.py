@@ -41,7 +41,8 @@ vertex is an integer there (see ``_linf_vertices``); the vertices are
 found by fraction-free elimination on ints, and the costs and the
 witness are solved on that frame too.  The vertices are a set in no
 order; the optimum is the smallest (frame cost, frame tau) over them,
-the key the grid walk compares.  A candidate budget, checked
+the key the grid walk compares, kept with the cost matrix it was scored
+on, which the witness is then solved on.  A candidate budget, checked
 against the candidate count before anything is enumerated, guards both
 paths.
 """
@@ -348,10 +349,10 @@ def emdut_hd(
         vertices, bs, rs, den = _linf_vertices(blue, red, budget)
         candidates = evaluated = len(vertices)
         # the smallest (frame cost, frame tau), the key the grid walk compares;
-        # den > 0, so it is the smallest optimal tau in the original frame too
-        _, tau = min((_assignment_value(_cost_matrix(bs, rs, metric, t)), t)
-                     for t in vertices)
-        cost = _cost_matrix(bs, rs, metric, tau)
+        # den > 0, so it is the smallest optimal tau in the original frame too.
+        # The vertices are distinct, so the cost matrices are never compared.
+        _, tau, cost = min((_assignment_value(c := _cost_matrix(bs, rs, metric, t)), t, c)
+                           for t in vertices)
     best_tau = tuple(Fraction(c, den) for c in tau)
     # frame costs are den times the metric's: same witness, value total/den
     total, phi = _lex_min_assignment(cost)

@@ -106,8 +106,8 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
 class _Run:
     rid: int
     bs: int            # first blue (sorted order)
-    bt: int            # last blue; its red is phi[bt]
-    live: bool         # phi[bt] is not the last red, so the run can still move
+    bt: int            # last blue; the run is live, so it can still move,
+                       # while its red phi[bt] is not the last red
     epoch: int = 0         # heap entries of older epochs are stale
     event: object = None   # (p, q, blue) of the one live queued reassignment
 
@@ -210,13 +210,14 @@ class _Sweep:
 
     def _attach(self, run, lo, hi, p, q):
         # blues lo..hi start a fresh run (run is None) or join the front of
-        # run; a live run gets their pieces and is rescheduled
+        # run; a live run, one whose last red phi[bt] is not the last red,
+        # gets their pieces and is rescheduled
         if run is None:
-            run = _Run(self.next_rid, lo, hi, self.phi[hi] < self.n - 1)
+            run = _Run(self.next_rid, lo, hi)
             self.next_rid += 1
         run.bs = lo
         self.blue_run[lo:hi + 1] = [run] * (hi - lo + 1)
-        if run.live:
+        if self.phi[run.bt] < self.n - 1:
             self._set_pieces(lo, hi, p // q)
             self._reschedule(run, p, q)
 
@@ -238,9 +239,9 @@ class _Sweep:
         self.marked.clear()
 
     def _verify_runs(self, floor_tau):
-        # check-mode only: each run matches its blues to consecutive reds and
-        # is live unless its last red is the last one; a live run's pieces
-        # equal pieces recomputed from scratch strictly inside the interval
+        # check-mode only: each run matches its blues to consecutive reds, and
+        # a live run's pieces equal pieces recomputed from scratch strictly
+        # inside the interval
         assert not self.marked
         phi, j = self.phi, 0
         while j < self.m:
@@ -248,8 +249,7 @@ class _Sweep:
             bs, bt = run.bs, run.bt
             assert bs == j and all(r is run for r in self.blue_run[j:bt + 1])
             assert phi[j:bt + 1] == list(range(phi[j], phi[bt] + 1))
-            assert run.live == (phi[bt] < self.n - 1)
-            if run.live:
+            if phi[bt] < self.n - 1:
                 # each piece from its definition, at tau = t2/2 strictly
                 # between two integers, where no blue meets a red; all doubled
                 t2 = 2 * floor_tau + 1
@@ -273,7 +273,7 @@ class _Sweep:
             self.fs += 2
             self.fi += 2 * (self.bc[j] - self.rc[v])
         run = self.blue_run[j]
-        if run.live:
+        if self.phi[run.bt] < self.n - 1:
             d = 2 if v == w else -2
             self.pa[j] -= d
             self.pb[j] += d * (self.rc[v] - self.bc[j])

@@ -454,6 +454,50 @@ def test_unreadable_or_malformed_inputs_exit_2_naming_the_file(capsys, tmp_path)
         assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+# (argv with the bad file as {bad}, the bad file's bytes or None for no
+# file, or "dir" for a directory); the good files are named below
+_READER_FAILURES = {
+    "missing points": (["solve", "emdut1d", "--blue", "{bad}", "--red", "{points}"], None),
+    "directory": (["solve", "emdut1d", "--blue", "{points}", "--red", "{bad}"], "dir"),
+    "bad dimension line": (["solve", "emd", "--blue", "{bad}", "--red", "{points}"],
+                           b"1 2\n0 0\n"),
+    "bad coordinate": (["solve", "emdut-hd", "--blue", "{points}", "--red", "{bad}"],
+                       b"1\n0\n\n1/0x\n"),
+    "non-0/1 vector": (["gen", "ov", "--vectors", "{vectors}", "{bad}"], b"1 0\n0 b\n"),
+    "empty vector file": (["gen", "ov", "--vectors", "{bad}", "{vectors}"], b"\r\n \n"),
+    "empty graph": (["gen", "clique", "--graph", "{bad}"], b"\n\t\n"),
+    "malformed graph": (["gen", "clique", "--graph", "{bad}"], b"3\n1 2 3\n"),
+    "self-loop": (["gen", "clique", "--graph", "{bad}"], b"3\n1 2\n2 2\n"),
+    "out-of-range edge": (["gen", "clique", "--graph", "{bad}"], b"3\n1 2\n3 4\n"),
+    "non-UTF-8 points": (["solve", "emdut1d", "--blue", "{points}", "--red", "{bad}"],
+                         b"1\n\xff\n"),
+    "non-UTF-8 vectors": (["gen", "ov", "--vectors", "{bad}", "{vectors}"], b"1 0\n\xff 1\n"),
+    "non-UTF-8 graph": (["gen", "clique", "--graph", "{bad}"], b"3\n1 2\xc3\n"),
+}
+
+
+@pytest.mark.parametrize("case", _READER_FAILURES)
+def test_every_input_file_failure_exits_2_naming_the_file(capsys, tmp_path, case):
+    argv, data = _READER_FAILURES[case]
+    bad = tmp_path / "bad.txt"
+    if data == "dir":
+        bad.mkdir()
+    elif data is not None:
+        bad.write_bytes(data)
+    names = {"bad": bad, "points": tmp_path / "points.txt", "vectors": tmp_path / "v.txt"}
+    names["points"].write_text("1\n0\n3\n")
+    names["vectors"].write_text("1 0\n0 1\n")
+    argv = [arg.format_map(names) for arg in argv]
+    if argv[0] == "gen":
+        if argv[1] == "clique":
+            argv += ["--variant", "l1-asym", "--k", "2"]
+        argv += ["--out-prefix", str(tmp_path / "o")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("o_*"))
+
+
 def test_vector_and_graph_files_read_any_line_ends_and_blank_lines(capsys, tmp_path):
     # CRLF line ends, tabs and blank lines anywhere give the files the plain
     # spelling gives; line numbers count the blank lines

@@ -253,6 +253,33 @@ def test_linf_solid_ties_keep_the_smallest_optimal_vertex():
         assert emdut_hd(B, R, Metric.LINF)[:2] == scored[0]
 
 
+def test_linf_solid_builds_each_vertex_cost_matrix_once(monkeypatch):
+    # The optimum keeps the cost matrix it was scored on, and its witness
+    # is solved on that matrix: one build per vertex, none for the winner.
+    # The pairs are the CI's two 3D console-script pairs.
+    hd = importlib.import_module("emdut.emdut_hd")
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    real = hd._cost_matrix
+    monkeypatch.setattr(hd, "_cost_matrix", spy)
+    pairs = [
+        ([(0, 0, 0), (1, 1, 0)], [(1, 2, 3), (4, 0, -1), (2, 2, 2)],
+         (1, (F(1, 2), F(3, 2), F(5, 2)), (0, 2), 1062)),
+        ([(0, 0, 0), (0, 0, 0)], [(1, 2, 0), (2, 0, 1), (0, 1, 2)],
+         (2, (F(-1, 2), F(1, 2), F(3, 2)), (0, 2), 251)),
+    ]
+    for blue, red, expected in pairs:
+        built.clear()
+        value, tau, phi, candidates, evaluated = emdut_hd(
+            point_set(3, blue), point_set(3, red), Metric.LINF, return_stats=True)
+        assert (value, tau, phi, candidates) == expected
+        assert len(built) == candidates == evaluated
+
+
 def test_grid_search_never_builds_the_candidate_product():
     # 18 x 18 points with distinct offsets: 18^4 = 104976 candidates, whose
     # product alone would take several MB.  The reds are a noisy translate
