@@ -108,18 +108,21 @@ def _cmd_solve(args) -> int:
 
 def _parse_vectors(text: str) -> tuple:
     rows = []
-    for line_no, fields in _numbered_fields(text):
+    for line_no, _, fields in _numbered_fields(text):
         try:
-            rows.append(tuple(map(int, fields)))
+            row = tuple(map(int, fields))
+            if not all(bit in (0, 1) for bit in row):
+                raise ValueError
         except ValueError:
             raise ValueError(f"line {line_no}: expected 0/1 entries")
+        rows.append(row)
     if not rows:
         raise ValueError("no vectors")
     return tuple(rows)
 
 
 def _parse_graph(text: str) -> Graph:
-    lines = [fields for _, fields in _numbered_fields(text)]
+    lines = [fields for _, _, fields in _numbered_fields(text)]
     if not lines:
         raise ValueError("empty graph file")
     try:

@@ -204,8 +204,8 @@ def format_scalar(x: Fraction) -> str:
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
-def _numbered_fields(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank line of ``text``.
+def _numbered_fields(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, fields) of each non-blank line of ``text``.
 
     Numbers are 1-based and count the blank lines too; fields are split
     on whitespace, so CRLF line ends and tabs read as plain ones.
@@ -213,7 +213,7 @@ def _numbered_fields(text: str) -> Iterator[tuple[int, list[str]]]:
     for line_no, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
         if fields:
-            yield line_no, fields
+            yield line_no, line, fields
 
 
 def parse_point_set(text: str) -> PointSet:
@@ -222,29 +222,37 @@ def parse_point_set(text: str) -> PointSet:
     Line 1 is the dimension d, at most ``_MAX_DIMENSION``; each subsequent
     non-empty line holds d whitespace-separated numbers (integer, fraction
     "p/q", or finite decimal), each read by :func:`scalar`.  CRLF is
-    accepted.  Errors carry the 1-based line number.
+    accepted.  Errors carry the 1-based line number, so a bad line that
+    recurs fails at its first copy.  A point line whose text repeats an
+    earlier point line is read as that line's point, the same tuple:
+    generated instances repeat each coordinate several times.  The key
+    is the text, a str, which the garbage collector does not track.
     """
     dim = None
     rows: list[Point] = []
-    for idx, fields in _numbered_fields(text):
+    seen: dict[str, Point] = {}
+    for idx, line, fields in _numbered_fields(text):
         if dim is None:
             try:
                 (dim,) = map(int, fields)
             except ValueError:
-                line = text.split("\n")[idx - 1].strip()  # quoted as written
-                raise PointFormatError(idx, f"expected integer dimension, got {line!r}")
+                raise PointFormatError(
+                    idx, f"expected integer dimension, got {line.strip()!r}")
             if not 1 <= dim <= _MAX_DIMENSION:
                 raise PointFormatError(
                     idx, f"dimension must be in [1, {_MAX_DIMENSION}], got {fields[0]}")
             continue
-        if len(fields) != dim:
-            raise PointFormatError(
-                idx, f"expected {dim} coordinates, got {len(fields)}"
-            )
-        try:
-            rows.append(tuple(map(scalar, fields)))
-        except ValueError as exc:
-            raise PointFormatError(idx, str(exc)) from None
+        p = seen.get(line)
+        if p is None:
+            if len(fields) != dim:
+                raise PointFormatError(
+                    idx, f"expected {dim} coordinates, got {len(fields)}"
+                )
+            try:
+                p = seen[line] = tuple(map(scalar, fields))
+            except ValueError as exc:
+                raise PointFormatError(idx, str(exc)) from None
+        rows.append(p)
     if dim is None:
         raise PointFormatError(1, "empty input: missing dimension line")
     return PointSet(dim, tuple(rows))

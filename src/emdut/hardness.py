@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Metric, PointSet, _check_metric, point, point_set, point_set_1d
+from .core import Metric, PointSet, _check_metric, point, point_set, point_set_1d, scalar
 from .emd import _as_int_matrix, _assignment_value, _cost_matrix, _pair_sizes
 # _min_cost_assignment is unused here but kept importable: the benchmark's
 # tracer patches ``emdut.hardness._min_cost_assignment`` by name.
@@ -205,9 +205,10 @@ def ov_reduction(inst: OVInstance) -> GadgetInstance:
     one blue/red cell pair.
 
     The gadgets stay int lists, already checked by :class:`OVInstance`,
-    until the blue and red point sets are built: the two ``point_set_1d``
-    calls at the end are the only PointSets, and the only coercions, a
-    reduction makes.
+    until the blue and red point sets are built; those two are the only
+    PointSets a reduction makes.  Each coordinate recurs four or five
+    times, so ``scalar`` is called once per distinct coordinate, and
+    every copy of it, blue or red, is the same 1-tuple point.
     """
     xs = list(inst.x_vectors)
     ys = list(inst.y_vectors)
@@ -252,9 +253,10 @@ def ov_reduction(inst: OVInstance) -> GadgetInstance:
         "x_vectors": tuple(tuple(x) for x in xs),
         "y_vectors": tuple(tuple(y) for y in ys),
     }
+    shared = {v: (scalar(v),) for v in {*blue_pts, *red_pts}}
     return GadgetInstance(
-        blue=point_set_1d(blue_pts),
-        red=point_set_1d(red_pts),
+        blue=PointSet(1, tuple(map(shared.__getitem__, blue_pts))),
+        red=PointSet(1, tuple(map(shared.__getitem__, red_pts))),
         lam=lam,
         metric=Metric.L1,
         parts=(),

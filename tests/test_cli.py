@@ -464,6 +464,7 @@ _READER_FAILURES = {
     "bad coordinate": (["solve", "emdut-hd", "--blue", "{points}", "--red", "{bad}"],
                        b"1\n0\n\n1/0x\n"),
     "non-0/1 vector": (["gen", "ov", "--vectors", "{vectors}", "{bad}"], b"1 0\n0 b\n"),
+    "non-binary integer": (["gen", "ov", "--vectors", "{bad}", "{vectors}"], b"1 0\n-1 1\n"),
     "empty vector file": (["gen", "ov", "--vectors", "{bad}", "{vectors}"], b"\r\n \n"),
     "empty graph": (["gen", "clique", "--graph", "{bad}"], b"\n\t\n"),
     "malformed graph": (["gen", "clique", "--graph", "{bad}"], b"3\n1 2 3\n"),
@@ -644,7 +645,7 @@ def test_every_solve_gen_and_error_output_is_pinned(capsys, monkeypatch, tmp_pat
     codes = [code for _, code, *_ in transcript]
     assert (codes.count(0), codes.count(1), codes.count(2)) == (31, 1, 19)
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "ea8ce80382c72a8ff274340361c71d8cde1849d5f3fd0f478c34420253266321"
+    assert digest == "212e984b1177fb4d6a2bf67b3034b4811d58a5ead52c1a4221e84e13d2c58fda"
 
 
 def test_every_emd_and_1d_algorithm_answers_a_small_pair(capsys, tmp_path):
@@ -671,8 +672,8 @@ def test_every_emd_and_1d_algorithm_answers_a_small_pair(capsys, tmp_path):
 def test_library_refusals_exit_2_with_the_library_message(capsys, tmp_path):
     xf = tmp_path / "X.txt"
     yf = tmp_path / "Y.txt"
-    xf.write_text("2 0\n0 1\n")
-    yf.write_text("0 1\n1 1\n")
+    xf.write_text("1 0\n0 1\n")
+    yf.write_text("0 1\n")
     graph = tmp_path / "g.txt"
     graph.write_text("3\n1 2\n1 1\n")
     points = tmp_path / "p.txt"
@@ -681,7 +682,7 @@ def test_library_refusals_exit_2_with_the_library_message(capsys, tmp_path):
     metric_l3 = ["solve", "emd", "--metric", "l3", "--blue", str(points), "--red", str(points)]
     for argv, message in (
         (["gen", "ov", "--vectors", str(xf), str(yf), "--out-prefix", prefix],
-         "non-binary entry in vector (2, 0)"),
+         "need equally many vectors on both sides, at least one"),
         (["gen", "clique", "--variant", "l1-asym", "--k", "2", "--graph", str(graph),
           "--out-prefix", prefix], f"{graph}: self-loop at node 1"),
         (metric_l3, "unknown metric 'l3' (expected 'l1' or 'linf')"),

@@ -211,6 +211,21 @@ def test_parse_point_set_errors_carry_line_numbers():
     assert err.value.line_no == 2
 
 
+def test_parse_point_set_shares_the_point_of_a_repeated_line():
+    ps = parse_point_set("2\n1 2\n3 4\n1 2\n\n1  2\n\t1 2\r\n")
+    a, b, c, d, e = ps.points
+    assert c is a and a == d == e == (F(1), F(2)) and b == (F(3), F(4))
+    # a bad line that recurs fails at its first copy
+    for text, line_no in (("1\n0\n1/0\n2\n1/0\n", 3), ("2\n1 2\n3\n3\n", 3),
+                          ("1\n5\n5\nx\n5\nx\n", 4)):
+        with pytest.raises(PointFormatError) as err:
+            parse_point_set(text)
+        assert err.value.line_no == line_no
+    # equal values are not shared by value: a float still fails after its int
+    with pytest.raises(TypeError):
+        point_set_1d([1, 1.0])
+
+
 def test_dimension_line_is_capped_at_10_to_the_5():
     for text in ("1000000000000\n", "100001\n1\n", "0\n"):
         with pytest.raises(PointFormatError, match="dimension") as err:
