@@ -1,17 +1,22 @@
 """Exact geometric primitives: rational scalars, point sets, matchings, metrics.
 
-Every quantity is a ``fractions.Fraction``, so all arithmetic and every
-comparison is exact.  The solver path never touches floating point:
-the sweep and arrangement algorithms compare event coordinates for
-equality, and epsilon logic would corrupt their ordering.
+Every quantity is exact: an int or a ``fractions.Fraction``.  A point set
+read from text holds its points on their integer frame, ints that are
+the points times the lcm of their denominators, and the solvers read
+that frame as is; its ``points``, and every value a solver returns, are
+Fractions.  The solver path never touches floating point: the sweep and
+arrangement algorithms compare event coordinates for equality, and
+epsilon logic would corrupt their ordering.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 Scalar = Fraction
@@ -94,35 +99,88 @@ def scalar(value) -> Fraction:
             raise ValueError(f"not an exact rational literal: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
-    raise TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
+    raise _not_exact(value)
+
+
+def _not_exact(value) -> TypeError:
+    return TypeError(f"cannot build an exact Scalar from {type(value).__name__}")
 
 
 def point(coords: Iterable) -> Point:
     return tuple(scalar(c) for c in coords)
 
 
-@dataclass(frozen=True)
+def _as_int_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(integer rows, den) with rows == integer rows / den exactly.
+
+    Rows are the coordinates of points or translations; the distances of
+    scaled rows are the true distances times ``den``.
+    """
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 class PointSet:
     """Immutable ordered list of d-dimensional rational points.
 
     Order is significant: the index of a point is its identity, and
     duplicates are permitted (ties are broken by index downstream).
+
+    A set built from points holds them as given, each coordinate an int
+    or a ``Fraction``, and ``frame`` is None: each solve frames it anew,
+    so a long-lived set never keeps a second, integer copy.  A set read
+    by :func:`parse_point_set` holds only ``frame = (ints, den)``: int
+    tuples that are the points times ``den``, the lcm of their
+    denominators.  Its ``points``, the Fraction view, is built on first
+    use and kept, one tuple per distinct point.
     """
 
-    dim: int
-    points: tuple[Point, ...]
+    __slots__ = ("_dim", "_frame", "_points")
+    dim = property(attrgetter("_dim"))
+    frame = property(attrgetter("_frame"))
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        for i, p in enumerate(self.points):
-            if len(p) != self.dim:
-                raise ValueError(
-                    f"point {i} has {len(p)} coordinates, expected {self.dim}"
-                )
+    def __init__(self, dim: int, points: Sequence[Point]):
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        points = tuple(points)
+        if not {*map(len, points)} <= {dim}:
+            i, p = next((i, p) for i, p in enumerate(points) if len(p) != dim)
+            raise ValueError(f"point {i} has {len(p)} coordinates, expected {dim}")
+        if not {*map(type, chain.from_iterable(points))} <= {int, Fraction}:
+            for c in chain.from_iterable(points):  # a subclass, such as bool, passes
+                if not isinstance(c, (int, Fraction)):
+                    raise _not_exact(c)
+        self._dim, self._frame, self._points = dim, None, points
+
+    @classmethod
+    def _unchecked(cls, dim: int, points: tuple[Point, ...] | None = None, frame=None):
+        """The set of ``points``, or on ``frame``, without the checks of
+        ``__init__``: for callers whose points are already tuples of ``dim``
+        ints or Fractions."""
+        ps = cls.__new__(cls)
+        ps._dim, ps._frame, ps._points = dim, frame, points
+        return ps
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            ints, den = self._frame
+            view = {p: tuple(Fraction(x, den) for x in p) for p in dict.fromkeys(ints)}
+            self._points = tuple(map(view.__getitem__, ints))
+        return self._points
+
+    def __eq__(self, other):
+        return (isinstance(other, PointSet)
+                and (self.dim, self.points) == (other.dim, other.points))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.points))
+
+    def __repr__(self) -> str:
+        return f"PointSet(dim={self.dim!r}, points={self.points!r})"
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._points if self._frame is None else self._frame[0])
 
     def __iter__(self):
         return iter(self.points)
@@ -141,7 +199,7 @@ def point_set(dim: int, rows: Iterable[Iterable]) -> PointSet:
 
 
 def point_set_1d(values: Iterable) -> PointSet:
-    return PointSet(1, tuple((scalar(v),) for v in values))
+    return PointSet._unchecked(1, tuple((scalar(v),) for v in values))
 
 
 def lp_distance(a: Point, b: Point, metric: Metric) -> Fraction:
@@ -217,20 +275,24 @@ def _numbered_fields(text: str) -> Iterator[tuple[int, str, list[str]]]:
 
 
 def parse_point_set(text: str) -> PointSet:
-    """Parse the point-set text format.
+    """Parse the point-set text format onto its integer frame.
 
     Line 1 is the dimension d, at most ``_MAX_DIMENSION``; each subsequent
     non-empty line holds d whitespace-separated numbers (integer, fraction
-    "p/q", or finite decimal), each read by :func:`scalar`.  CRLF is
-    accepted.  Errors carry the 1-based line number, so a bad line that
-    recurs fails at its first copy.  A point line whose text repeats an
-    earlier point line is read as that line's point, the same tuple:
+    "p/q", or finite decimal).  A line is read by ``int`` when it takes
+    every field, to the value :func:`scalar` would give; any other line
+    is read by :func:`scalar`, and makes the frame's ``den`` the lcm of
+    the denominators of such lines, by which every point is then scaled.
+    CRLF is accepted.  Errors carry the 1-based line number, so a bad line
+    that recurs fails at its first copy.  A point line whose text repeats
+    an earlier point line is read as that line's point, the same tuple:
     generated instances repeat each coordinate several times.  The key
     is the text, a str, which the garbage collector does not track.
     """
     dim = None
-    rows: list[Point] = []
-    seen: dict[str, Point] = {}
+    rows: list[tuple] = []
+    seen: dict[str, tuple] = {}
+    exact = True  # every line so far read by ``int``
     for idx, line, fields in _numbered_fields(text):
         if dim is None:
             try:
@@ -249,17 +311,28 @@ def parse_point_set(text: str) -> PointSet:
                     idx, f"expected {dim} coordinates, got {len(fields)}"
                 )
             try:
-                p = seen[line] = tuple(map(scalar, fields))
-            except ValueError as exc:
-                raise PointFormatError(idx, str(exc)) from None
+                p = tuple(map(int, fields))
+            except ValueError:
+                try:
+                    p = tuple(map(scalar, fields))
+                except ValueError as exc:
+                    raise PointFormatError(idx, str(exc)) from None
+                exact = False
+            seen[line] = p
         rows.append(p)
     if dim is None:
         raise PointFormatError(1, "empty input: missing dimension line")
-    return PointSet(dim, tuple(rows))
+    ints, den = tuple(rows), 1
+    if not exact:  # every distinct line onto one frame, shared as before
+        distinct = list(seen.values())
+        scaled, den = _as_int_matrix(distinct)
+        frame = dict(zip(map(id, distinct), map(tuple, scaled)))
+        ints = tuple(frame[id(p)] for p in rows)
+    return PointSet._unchecked(dim, frame=(ints, den))
 
 
 def serialize_point_set(ps: PointSet) -> str:
     out = [str(ps.dim)]
     for p in ps.points:
-        out.append(" ".join(format_scalar(c) for c in p))
+        out.append(" ".join(map(format_scalar, p)))
     return "\n".join(out) + "\n"

@@ -19,10 +19,14 @@ injective blue-to-red matching):
 Every solver of the package, here and in the translation and 1D
 modules, shares three helpers.  :func:`_pair_sizes` is the one
 contract: both sets have one dimension (1 for the 1D routines) and
-|B| <= |R|.  :func:`_frame` is the one frame: rationals become integers
-only in :func:`_as_int_matrix`, and each solve scales its points, with
-any translations, once by the lcm of their denominators, so every DP
-row and every cost matrix is built from ints.  :func:`_assignment_value`
+|B| <= |R|.  :func:`_frame` is the one frame: each solve puts its
+points, with any translations, on the lcm of their denominators, so
+every DP row and every cost matrix is built from ints.  A set read from
+text already holds its integer frame, and a set built from Fractions,
+or a translation, is framed by :func:`_as_int_matrix`, the one place
+rationals become integers; a block is rescaled only when its
+denominator differs from the lcm, which for integer inputs it never
+does.  :func:`_assignment_value`
 is the one value solve of an integer cost matrix.
 
 Every cost matrix comes from :func:`_cost_matrix`, a fold over the axes
@@ -46,7 +50,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Matching, Metric, PointSet, _check_metric
+from .core import Matching, Metric, PointSet, _as_int_matrix, _check_metric
 
 _INF = float("inf")  # comparison-only sentinel; never mixed into results
 
@@ -70,13 +74,17 @@ def _pair_sizes(blue: PointSet, red: PointSet, dim: int | None = None) -> tuple[
 def _frame(blue: PointSet, red: PointSet, *extra):
     """(bs, rs, extra, den): the points and ``extra`` rows on one integer frame.
 
-    One :func:`_as_int_matrix` call scales the points and the extra rows
-    (translations) together, so frame distances are the true ones times
-    ``den``.
+    Each block, the blues, the reds and the extra rows (translations),
+    comes on its own frame: the one a set holds, or else
+    :func:`_as_int_matrix` of its points or rows.  ``den`` is the lcm of
+    the three, and a block whose own denominator differs is scaled up to
+    it, so frame distances are the true ones times ``den``.
     """
-    ints, den = _as_int_matrix(blue.points + red.points + extra)
-    m, mn = len(blue), len(blue) + len(red)
-    return ints[:m], ints[m:mn], ints[mn:], den
+    blocks = [ps.frame or _as_int_matrix(ps.points) for ps in (blue, red)]
+    blocks.append(_as_int_matrix(extra))
+    den = math.lcm(*(d for _, d in blocks))
+    return (*(ints if d == den else [[x * (den // d) for x in row] for row in ints]
+              for ints, d in blocks), den)
 
 
 def _sorted_frame(blue: PointSet, red: PointSet):
@@ -262,16 +270,6 @@ def _cost_matrix(blues, reds, metric: Metric, tau=None) -> list[list]:
     for a in range(len(blues[0]) if blues else 0):
         rows = _add_axis(rows, blues, reds, a, 0 if tau is None else tau[a], metric)
     return rows
-
-
-def _as_int_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(integer rows, den) with rows == integer rows / den exactly.
-
-    Rows are point coordinates, plus a translation framed with them; the
-    distances of scaled rows are the true distances times ``den``.
-    """
-    den = math.lcm(*{x.denominator for row in rows for x in row})
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def _lex_min_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:

@@ -255,8 +255,8 @@ def ov_reduction(inst: OVInstance) -> GadgetInstance:
     }
     shared = {v: (scalar(v),) for v in {*blue_pts, *red_pts}}
     return GadgetInstance(
-        blue=PointSet(1, tuple(map(shared.__getitem__, blue_pts))),
-        red=PointSet(1, tuple(map(shared.__getitem__, red_pts))),
+        blue=PointSet._unchecked(1, tuple(map(shared.__getitem__, blue_pts))),
+        red=PointSet._unchecked(1, tuple(map(shared.__getitem__, red_pts))),
         lam=lam,
         metric=Metric.L1,
         parts=(),

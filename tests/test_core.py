@@ -1,4 +1,7 @@
+import gc
+import itertools
 import random
+import tracemalloc
 from enum import IntEnum
 from fractions import Fraction as F
 from types import ModuleType
@@ -21,6 +24,10 @@ from emdut.core import (
     scalar,
     serialize_point_set,
 )
+from emdut.emd import emd_1d_monotone, emd_bruteforce, emd_hungarian
+from emdut.emdut_hd import emd_value_at, emdut_hd
+from emdut.hardness import OVInstance, ov_reduction
+from emdut.sweep1d import emdut_1d_sweep, emdut_1d_symmetric
 
 
 def rand_scalar(rng):
@@ -177,6 +184,26 @@ def test_point_set_validation_and_immutability():
         point_set(2, [(1, 2)]).translate((F(1, 2), 0.5))
 
 
+def test_point_set_refuses_a_float_coordinate_by_its_type():
+    # a float would ride through the Fraction solvers and fail in the int
+    # ones; every solver and ``translate`` see it refused at construction
+    red = point_set_1d([1, 3, 4])
+    for make in (lambda: PointSet(1, ((F(1, 2),), (0.5,))),
+                 lambda: PointSet(2, [(1, "2")])):
+        with pytest.raises(TypeError, match="cannot build an exact Scalar from"):
+            make()
+    for use in (lambda b: emd_bruteforce(b, red, Metric.L1),
+                lambda b: emd_hungarian(b, red, Metric.L1),
+                lambda b: emdut_1d_sweep(b, red),
+                lambda b: b.translate((1,))):
+        with pytest.raises(TypeError, match="from float"):
+            use(PointSet(1, ((0.5,), (2,))))
+    # ints and Fractions, and their subclasses, are the exact types
+    ps = PointSet(1, ((2,), (F(1, 3),), (True,), (_Level.HIGH,)))
+    assert type(ps.points[0][0]) is int and ps.frame is None
+    assert emd_hungarian(ps, point_set_1d([0, 0, 0, 0]), Metric.L1)[0] == F(19, 3)
+
+
 @pytest.mark.parametrize(
     "text,dim,rows",
     [
@@ -316,6 +343,76 @@ def test_parse_reads_every_token_as_scalar_does():
         assert got == want and type(got) is type(want), tok[:20]
         if _PLAIN_INT.fullmatch(tok):
             assert scalar(tok) == F(tok) and type(scalar(tok)) is F, tok[:20]
+
+
+def _typed(x):
+    """``x`` with the type of every part, tuples and lists included."""
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(map(_typed, x))
+    return type(x), x
+
+
+def _both_constructions(rng, dim, m, n):
+    """A parsed pair, plain-int blues and reds whose lines have denominators
+    1, 2, 3 and 5 in turn, and the same pair built by ``point_set``."""
+    blues = [[F(rng.randint(-20, 20)) for _ in range(dim)] for _ in range(m)]
+    reds = [[F(rng.randint(-12, 12) * q + (rng.randrange(1, q) if q > 1 else 0), q)
+             for _ in range(dim)]
+            for q in itertools.islice(itertools.cycle((2, 1, 3, 5)), n)]
+    parsed = [parse_point_set(f"{dim}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows)) for rows in (blues, reds)]
+    return parsed, [point_set(dim, rows) for rows in (blues, reds)]
+
+
+def test_parsed_and_fraction_sets_give_identical_returns():
+    # a parsed set holds its integer frame, one from Fractions is framed per
+    # solve; the frames, and so every return down to its types, must agree
+    rng = random.Random(31)
+    for trial in range(24):
+        m = rng.randint(1, 4)
+        cases = [(1, rng.randint(m, 7)), (1, m), (2, rng.randint(m, 6))]
+        for dim, n in cases + [(3, 2)] * (m == 1):
+            (bp, rp), (bf, rf) = _both_constructions(rng, dim, m, n)
+            assert bp.frame[1] == 1 and rp.frame[1] == (2, 2, 6, 30)[min(n, 4) - 1]
+            tau = [F(rng.randint(-30, 30), 7) for _ in range(dim)]
+            solves = [lambda b, r, met=met: emd_hungarian(b, r, met) for met in Metric]
+            solves += [lambda b, r: emd_bruteforce(b, r, Metric.L1),
+                       lambda b, r: emd_value_at(b, r, Metric.LINF, tau)]
+            solves += [lambda b, r, met=met: emdut_hd(b, r, met, return_stats=True)
+                       for met in Metric]
+            if dim == 1:
+                solves += [emd_1d_monotone, lambda b, r: emdut_1d_sweep(
+                    b, r, return_stats=True, collect_pieces=True)]
+                if m == n:
+                    solves.append(emdut_1d_symmetric)
+            for solve in solves:
+                assert _typed(solve(bp, rp)) == _typed(solve(bf, rf)), (trial, dim)
+            assert (bp, rp) == (bf, rf) and hash((bp, rp)) == hash((bf, rf))
+            assert _typed(rp.points) == _typed(rf.points)
+
+
+def test_a_solve_keeps_no_frame_on_a_set_built_from_fractions():
+    # a set built from Fractions is framed anew by each solve: one that kept
+    # its frame would hold a second copy of every long-lived set
+    rng = random.Random(9)
+    x, y = (tuple(tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(9))
+            for _ in range(2))
+    gi = ov_reduction(OVInstance(x, y))
+    blue = point_set(1, gi.blue.points[:8])  # few blues keep the solves short
+    red = gi.red
+    assert len(red) == 3440
+    for solve in (emd_1d_monotone, emdut_1d_sweep):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            solve(blue, red)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blue.frame is None and red.frame is None
+        assert held - before < 1_000, (solve.__name__, held - before)
 
 
 def test_package_exports_names_not_modules():

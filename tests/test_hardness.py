@@ -125,11 +125,15 @@ def test_reduction_parameters_and_padding():
 def test_ov_reduction_coerces_each_point_once(monkeypatch, x_vectors, y_vectors):
     # the gadgets stay ints until the two final point sets; a reduction that
     # built a PointSet per gadget would make 2(n - 1) + 2 of them.  Each
-    # distinct coordinate is coerced once, and its copies share one point
+    # distinct coordinate is coerced once, and its copies share one point.
+    # A PointSet is built by __init__, which checks it, or by _unchecked
     built, coerced = [], []
-    post_init, scalar = core.PointSet.__post_init__, hardness.scalar
-    monkeypatch.setattr(core.PointSet, "__post_init__",
-                        lambda ps: built.append(len(ps)) or post_init(ps))
+    init, unchecked = core.PointSet.__init__, core.PointSet._unchecked
+    scalar = hardness.scalar
+    monkeypatch.setattr(core.PointSet, "__init__",
+                        lambda ps, *args: init(ps, *args) or built.append(len(ps)))
+    monkeypatch.setattr(core.PointSet, "_unchecked", classmethod(
+        lambda cls, dim, points: built.append(len(points)) or unchecked(dim, points)))
     monkeypatch.setattr(hardness, "scalar", lambda v: coerced.append(v) or scalar(v))
     gi = ov_reduction(OVInstance(x_vectors, y_vectors))
     assert built == [len(gi.blue), len(gi.red)]
