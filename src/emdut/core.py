@@ -132,7 +132,9 @@ class PointSet:
     by :func:`parse_point_set` holds only ``frame = (ints, den)``: int
     tuples that are the points times ``den``, the lcm of their
     denominators.  Its ``points``, the Fraction view, is built on first
-    use and kept, one tuple per distinct point.
+    use and kept, one tuple per distinct point.  Equality and hashing
+    never keep it: two framed sets compare their frames, and otherwise a
+    framed set's view is built for the one call.
     """
 
     __slots__ = ("_dim", "_frame", "_points")
@@ -161,20 +163,31 @@ class PointSet:
         ps._dim, ps._frame, ps._points = dim, frame, points
         return ps
 
+    def _view(self) -> tuple[Point, ...]:
+        """The points, kept or built from the frame without keeping them."""
+        if self._points is not None:
+            return self._points
+        ints, den = self._frame
+        view = {p: tuple(Fraction(x, den) for x in p) for p in dict.fromkeys(ints)}
+        return tuple(map(view.__getitem__, ints))
+
     @property
     def points(self) -> tuple[Point, ...]:
         if self._points is None:
-            ints, den = self._frame
-            view = {p: tuple(Fraction(x, den) for x in p) for p in dict.fromkeys(ints)}
-            self._points = tuple(map(view.__getitem__, ints))
+            self._points = self._view()
         return self._points
 
     def __eq__(self, other):
-        return (isinstance(other, PointSet)
-                and (self.dim, self.points) == (other.dim, other.points))
+        # the parser's den is the lcm of the reduced denominators, so two
+        # sets that both hold frames are equal exactly when the frames are
+        if not isinstance(other, PointSet):
+            return False
+        if self._frame is not None and other._frame is not None:
+            return (self._dim, self._frame) == (other._dim, other._frame)
+        return (self._dim, self._view()) == (other._dim, other._view())
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.points))
+        return hash((self._dim, self._view()))
 
     def __repr__(self) -> str:
         return f"PointSet(dim={self.dim!r}, points={self.points!r})"

@@ -34,9 +34,10 @@ of :func:`_add_axis`, which adds one axis's distances to the rows (L1)
 or takes their maximum with it (Linf); the grid walk of the translation
 solver alone adds cached per-axis distance tables to the rows of each
 axis prefix instead.  The lexicographically
-smallest optimal witness comes from a single solve too:
-:func:`_lex_min_assignment` appends the assignment, read as a base-n
-number, below the lowest digit of the integer cost.
+smallest optimal witness comes from one plain solve too:
+:func:`_lex_min_assignment` starts it from the row minima, then walks
+the tight edges of its potentials and moves each row, in order, to the
+smallest column some optimal assignment gives it.
 
 The Hungarian solver also returns its column potentials, all <= 0, from
 which the grid walk bounds the optimum of any other cost matrix of the
@@ -169,7 +170,7 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
 
 
 def _min_cost_assignment(
-    cost: Sequence[Sequence[int]],
+    cost: Sequence[Sequence[int]], warm: bool = False,
 ) -> tuple[int, list[int], list[int]]:
     """Rectangular (m <= n) mincost assignment by shortest augmenting paths.
 
@@ -189,6 +190,13 @@ def _min_cost_assignment(
     columns and nothing is shifted.  Once a free column is reached, each
     tree column's potential (and its row's) moves by the offset gained
     since it joined, in one pass per augmentation.
+
+    ``warm`` starts from the row minima (Jonker and Volgenant): row i's
+    potential is its minimum, and it is matched to the first column that
+    attains it while that column is still free; only the rows left over
+    are augmented.  The column potentials start at 0 either way, so all
+    of the above holds, but ties may break differently: the grid walk,
+    whose cuts read the potentials, keeps the cold start.
     """
     m = len(cost)
     n = len(cost[0]) if m else 0
@@ -197,7 +205,17 @@ def _min_cost_assignment(
     v = [0] * n
     match_row = [-1] * n  # column -> row, -1 = free
     way = [-1] * n  # column -> the tree column before it, -1 = the root row
-    for i in range(m):
+    rows = range(m)
+    if warm:
+        rows = []
+        for i, ri in enumerate(cost):
+            u[i] = low = min(ri)
+            j = ri.index(low)
+            if match_row[j] < 0:
+                match_row[j] = i
+            else:
+                rows.append(i)
+    for i in rows:
         minv = [_INF] * n
         outside = list(range(n))  # columns not in the tree, in scan order
         tree = []  # (column, offset when it joined)
@@ -275,20 +293,75 @@ def _cost_matrix(blues, reds, metric: Metric, tau=None) -> list[list]:
 def _lex_min_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """Optimal total and the lexicographically smallest optimal assignment.
 
-    One solve on the integer costs c*n^m + j*n^(m-1-i): the perturbations
-    of any assignment sum to that assignment read as a base-n number,
-    which stays below n^m, so the perturbed optimum is the smallest
-    optimal assignment and the optimal total is total // n^m.
+    One warm-started plain solve gives the total, an optimal assignment
+    a and the column potentials v; row i's potential is
+    c[i][a_i] - v[a_i], and an edge is tight when c[i][j] - v[j] equals
+    it.  The optimal assignments are exactly the matchings of every row
+    on tight edges that cover each column with v < 0.  A free column is
+    held by a zero-cost dummy row, tight on every column with v = 0.
+
+    The rows are then fixed in order: row i moves to the smallest tight
+    column j < a_i, held by no earlier row, from which a search over
+    columns reaches a_i.  A column held by a row leads to that row's
+    other tight columns, a free one to every column with v = 0 that an
+    unfixed row holds.  Moving each holder one step along the path
+    closes the cycle: every row stays on a tight edge, every column with
+    v < 0 stays covered and the earlier rows keep their columns.  A
+    failed search changes nothing, so no column it reached is searched
+    again for the same row, and one row costs at most one search of the
+    tight edges: O(m^2 n) for the pass on top of the solve.
     """
-    m = len(cost)
-    n = len(cost[0])
-    scale = n**m
-    perturbed = []
-    for i, row in enumerate(cost):
-        digit = n ** (m - 1 - i)
-        perturbed.append([c * scale + j * digit for j, c in enumerate(row)])
-    total, assignment, _ = _min_cost_assignment(perturbed)
-    return total // scale, assignment
+    total, a, v = _min_cost_assignment(cost, warm=True)
+    m, n = len(a), len(v)
+    held = [-1] * n  # column -> row, -1 = free
+    for i, j in enumerate(a):
+        held[j] = i
+    tight = [None] * m  # row -> its tight columns, listed when first needed
+    zero = [k for k, x in enumerate(v) if x == 0]
+    for i in range(m):
+        target = a[i]
+        ri = cost[i]
+        low = ri[target] - v[target]
+        starts = [j for j in range(target) if ri[j] - v[j] == low]
+        if not starts:
+            continue
+        prev = [-2] * n  # column -> the column before it on its path, -2 = unseen
+        dummies = True  # the columns a dummy row may take are searched once per row
+        for j in starts:
+            if prev[j] != -2 or 0 <= held[j] < i:
+                continue
+            prev[j] = -1
+            queue = [j]
+            for c in queue:
+                r = held[c]
+                if r >= 0:
+                    step = tight[r]
+                    if step is None:
+                        rr = cost[r]
+                        ur = rr[c] - v[c]
+                        step = tight[r] = [k for k, (e, x) in enumerate(zip(rr, v))
+                                           if e - x == ur]
+                elif dummies:
+                    dummies, step = False, zero
+                else:
+                    continue
+                for k in step:  # a dummy gains nothing by moving to a free column
+                    if prev[k] == -2 and (held[k] >= i or (held[k] < 0 and r >= 0)):
+                        prev[k] = c
+                        queue.append(k)
+                if prev[target] != -2:
+                    break
+            if prev[target] != -2:
+                k = target
+                while k != j:  # each holder moves one step along the path
+                    c = prev[k]
+                    held[k] = r = held[c]
+                    if r >= 0:
+                        a[r] = k
+                    k = c
+                held[j], a[i] = i, j
+                break
+    return total, a
 
 
 def emd_hungarian(

@@ -1,10 +1,12 @@
-"""Independent Fraction oracles: the full Linf hyperplane arrangement and the
-planar 45-degree rotation.
+"""Independent oracles: the full Linf hyperplane arrangement, the planar
+45-degree rotation and the perturbed lexicographic witness solve.
 
-The solver never builds either.  It searches Linf in d >= 3 on an integer
-frame and rotates planar integers itself; these reference versions work in
-exact rationals on the original coordinates, so the tests can hold the
-solver to them.
+The solver never builds any of them.  It searches Linf in d >= 3 on an
+integer frame and rotates planar integers itself; these reference versions
+work in exact rationals on the original coordinates, so the tests can hold
+the solver to them.  The witness solver walks the tight edges of one plain
+solve; the reference reaches the same witness by a single solve on
+perturbed big-int costs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from emdut.core import Point, PointSet
+from emdut.emd import _min_cost_assignment
 from emdut.emdut_hd import DEFAULT_BUDGET, BudgetExceeded
 
 
@@ -107,3 +110,22 @@ def rotate_45_to_l1(ps: PointSet) -> PointSet:
             ((p[0] + p[1]) / 2, (p[0] - p[1]) / 2) for p in ps.points
         ),
     )
+
+
+def perturbed_lex_min_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Optimal total and the lexicographically smallest optimal assignment.
+
+    One solve on the integer costs c*n^m + j*n^(m-1-i): the perturbations
+    of any assignment sum to that assignment read as a base-n number,
+    which stays below n^m, so the perturbed optimum is the smallest
+    optimal assignment and the optimal total is total // n^m.
+    """
+    m = len(cost)
+    n = len(cost[0])
+    scale = n**m
+    perturbed = []
+    for i, row in enumerate(cost):
+        digit = n ** (m - 1 - i)
+        perturbed.append([c * scale + j * digit for j, c in enumerate(row)])
+    total, assignment, _ = _min_cost_assignment(perturbed)
+    return total // scale, assignment

@@ -253,6 +253,28 @@ def test_parse_point_set_shares_the_point_of_a_repeated_line():
         point_set_1d([1, 1.0])
 
 
+def test_equality_and_hashing_keep_no_fraction_view_of_a_parsed_set():
+    # == and hash used to read .points, which builds the Fraction view of a
+    # parsed set and keeps it for the set's life
+    texts = ("1\n1/2\n3\n", "1\n2/4\n6/2\n", "1\n1/2\n7/2\n", "1\n3\n1/2\n",
+             "1\n1\n3\n", "1\n 1 \n3.0\n", "2\n1 2\n3 4\n")
+    built = (point_set_1d([F(1, 2), 3]), point_set_1d([1, 3]), point_set(2, [(1, 2), (3, 4)]))
+
+    def exact(ps):  # the old key of == and hash
+        return ps.dim, ps.points
+
+    for a, b in itertools.product(texts, repeat=2):
+        same = exact(parse_point_set(a)) == exact(parse_point_set(b))
+        pa, pb = parse_point_set(a), parse_point_set(b)
+        assert (pa == pb) is same and (not same or hash(pa) == hash(pb))
+        for ps in built:
+            same = exact(parse_point_set(a)) == exact(ps)
+            assert (pa == ps) is (ps == pa) is same
+            assert not same or hash(pa) == hash(ps)
+        assert pa._points is None and pb._points is None, (a, b)
+    assert parse_point_set("1\n1/2\n3\n") != "1\n1/2\n3\n"
+
+
 def test_dimension_line_is_capped_at_10_to_the_5():
     for text in ("1000000000000\n", "100001\n1\n", "0\n"):
         with pytest.raises(PointFormatError, match="dimension") as err:

@@ -6,6 +6,8 @@ import pytest
 
 from emdut.core import Metric, lp_distance, matching_cost, point_set, point_set_1d
 from emdut.emd import (
+    _cost_matrix,
+    _lex_min_assignment,
     _min_cost_assignment,
     _monotone_rows,
     _monotone_value,
@@ -29,6 +31,7 @@ from emdut.sweep1d import (
 )
 
 from conftest import huge_lcm_points, rand_ints_1d, rand_points
+from oracles import perturbed_lex_min_assignment
 
 
 def test_monotone_examples():
@@ -217,7 +220,9 @@ def test_hungarian_witness_is_first_optimal_permutation():
 
 
 def test_hungarian_witness_weights_beyond_float_range():
-    # the perturbed costs exceed n**m > 2**1024, far beyond any float
+    # every entry ties, so each row's first tight column is held by an
+    # earlier row; the perturbed solve the tight pass replaced worked on
+    # costs near n**m > 2**1024, far beyond any float
     B = point_set(2, [(1, 2)] * 150)
     R = point_set(2, [(1, 2)] * 155)
     assert emd_hungarian(B, R, Metric.LINF) == (0, tuple(range(150)))
@@ -272,6 +277,59 @@ def test_hungarian_returns_the_textbook_triple():
         hi = (0, 1, 3, 50, 10**30)[k % 5]
         cost = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
         assert _min_cost_assignment(cost) == _textbook_assignment(cost)
+
+
+def test_tight_pass_gives_the_witness_of_the_perturbed_solve():
+    # the witness solver walks the tight edges of one warm-started solve;
+    # the reference solves once on costs perturbed by the assignment read
+    # as a base-n number.  Entries in {0..3} tie everywhere, square
+    # all-equal and 0/1 matrices give each row many optimal columns, and
+    # planar 16x24 matrices have the witness shape of the solve benchmark
+    rng = random.Random(33)
+    matrices = []
+    for _ in range(3000):
+        m = rng.randint(1, 9)
+        n = rng.randint(m, 9)
+        matrices.append([[rng.randint(0, 3) for _ in range(n)] for _ in range(m)])
+    for size in (1, 2, 3, 5, 8, 13, 20, 30, 45, 60):
+        matrices.append([[7] * size for _ in range(size)])
+        matrices.append([[rng.randint(0, 1) for _ in range(size)] for _ in range(size)])
+    for k in range(40):
+        lim = (3, 1000)[k % 4 // 2]
+        blues, reds = ([[rng.randint(-lim, lim) for _ in range(2)] for _ in range(count)]
+                       for count in (16, 24))
+        matrices.append(_cost_matrix(blues, reds, (Metric.L1, Metric.LINF)[k % 2]))
+    rerouted = 0
+    for cost in matrices:
+        total, assignment = _lex_min_assignment(cost)
+        assert (total, assignment) == perturbed_lex_min_assignment(cost)
+        rerouted += assignment != _min_cost_assignment(cost, warm=True)[1]
+    assert rerouted > 900  # 1026 of them: the pass moves rows, not only confirms them
+
+
+def _certify(cost, total, assignment, v):
+    # an O(mn) proof of optimality: with v <= 0 and v = 0 on free columns,
+    # every assignment costs at least sum(u) + sum(v) by the reduced costs
+    n = len(v)
+    assert len(assignment) == len(cost) and len(set(assignment)) == len(assignment)
+    u = [row[j] - v[j] for row, j in zip(cost, assignment)]
+    assert all(c - x >= ui for row, ui in zip(cost, u) for c, x in zip(row, v))
+    assert all(x <= 0 for x in v)
+    assert all(v[j] == 0 for j in set(range(n)) - set(assignment))
+    assert sum(u) + sum(v) == total == sum(row[j] for row, j in zip(cost, assignment))
+
+
+def test_potentials_certify_the_optimum_of_cold_and_warm_solves():
+    rng = random.Random(34)
+    for k in range(1500):
+        m = rng.randint(1, 12)
+        n = rng.randint(m, 16)
+        hi = (0, 1, 3, 100, 10**20)[k % 5]  # three in five are tie-heavy
+        cost = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
+        cold, warm = _min_cost_assignment(cost), _min_cost_assignment(cost, warm=True)
+        _certify(cost, *cold)
+        _certify(cost, *warm)
+        assert cold[0] == warm[0]
 
 
 def _one_pass_bound(cost, v):
