@@ -216,14 +216,19 @@ def point_set_1d(values: Iterable) -> PointSet:
 
 
 def lp_distance(a: Point, b: Point, metric: Metric) -> Fraction:
-    """Exact L1 or Linf distance between two points of equal dimension."""
+    """Exact L1 or Linf distance between two points of equal dimension.
+
+    Both points are coerced as :func:`point` does, so a float raises
+    ``TypeError`` and the distance is a ``Fraction`` under either metric.
+    """
     _check_metric(metric)
+    a, b = point(a), point(b)
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     diffs = [abs(x - y) for x, y in zip(a, b)]
     if metric is Metric.L1:
         return sum(diffs, Fraction(0))
-    return max(diffs) if diffs else Fraction(0)
+    return max(diffs, default=Fraction(0))
 
 
 def validate_matching(phi: Sequence[int], n_blue: int, n_red: int) -> None:

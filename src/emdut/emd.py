@@ -26,18 +26,18 @@ text already holds its integer frame, and a set built from Fractions,
 or a translation, is framed by :func:`_as_int_matrix`, the one place
 rationals become integers; a block is rescaled only when its
 denominator differs from the lcm, which for integer inputs it never
-does.  :func:`_assignment_value`
-is the one value solve of an integer cost matrix.
+does.  :func:`_min_cost_assignment` is the one solve of an integer
+cost matrix, started from the row minima for every caller.
 
 Every cost matrix comes from :func:`_cost_matrix`, a fold over the axes
 of :func:`_add_axis`, which adds one axis's distances to the rows (L1)
 or takes their maximum with it (Linf); the grid walk of the translation
 solver alone adds cached per-axis distance tables to the rows of each
 axis prefix instead.  The lexicographically
-smallest optimal witness comes from one plain solve too:
-:func:`_lex_min_assignment` starts it from the row minima, then walks
-the tight edges of its potentials and moves each row, in order, to the
-smallest column some optimal assignment gives it.
+smallest optimal witness comes from that same solve:
+:func:`_lex_min_assignment` walks the tight edges of its potentials and
+moves each row, in order, to the smallest column some optimal
+assignment gives it.
 
 The Hungarian solver also returns its column potentials, all <= 0, from
 which the grid walk bounds the optimum of any other cost matrix of the
@@ -169,9 +169,7 @@ def emd_1d_monotone(blue: PointSet, red: PointSet) -> tuple[Fraction, Matching]:
     return Fraction(rows[0][0], den), to_input(phi)
 
 
-def _min_cost_assignment(
-    cost: Sequence[Sequence[int]], warm: bool = False,
-) -> tuple[int, list[int], list[int]]:
+def _min_cost_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
     """Rectangular (m <= n) mincost assignment by shortest augmenting paths.
 
     Returns (total, assignment, column potentials).  Callers pass integer
@@ -183,6 +181,11 @@ def _min_cost_assignment(
     drops, so every potential is <= 0, and a column left free was never
     reached and keeps 0.
 
+    The solve starts from the row minima (Jonker and Volgenant): row i's
+    potential is its minimum, and it is matched to the first column that
+    attains it while that column is still free.  Only the rows left over
+    are augmented, so a single row needs no search at all.
+
     Each augmentation is one Dijkstra search from row i over the columns.
     The distance to the last column taken into the tree is one offset that
     only grows; ``minv`` holds the tentative distances of the columns
@@ -190,13 +193,6 @@ def _min_cost_assignment(
     columns and nothing is shifted.  Once a free column is reached, each
     tree column's potential (and its row's) moves by the offset gained
     since it joined, in one pass per augmentation.
-
-    ``warm`` starts from the row minima (Jonker and Volgenant): row i's
-    potential is its minimum, and it is matched to the first column that
-    attains it while that column is still free; only the rows left over
-    are augmented.  The column potentials start at 0 either way, so all
-    of the above holds, but ties may break differently: the grid walk,
-    whose cuts read the potentials, keeps the cold start.
     """
     m = len(cost)
     n = len(cost[0]) if m else 0
@@ -205,16 +201,14 @@ def _min_cost_assignment(
     v = [0] * n
     match_row = [-1] * n  # column -> row, -1 = free
     way = [-1] * n  # column -> the tree column before it, -1 = the root row
-    rows = range(m)
-    if warm:
-        rows = []
-        for i, ri in enumerate(cost):
-            u[i] = low = min(ri)
-            j = ri.index(low)
-            if match_row[j] < 0:
-                match_row[j] = i
-            else:
-                rows.append(i)
+    rows = []
+    for i, ri in enumerate(cost):
+        u[i] = low = min(ri)
+        j = ri.index(low)
+        if match_row[j] < 0:
+            match_row[j] = i
+        else:
+            rows.append(i)
     for i in rows:
         minv = [_INF] * n
         outside = list(range(n))  # columns not in the tree, in scan order
@@ -255,14 +249,6 @@ def _min_cost_assignment(
     return sum(cost[i][assignment[i]] for i in range(m)), assignment, v
 
 
-def _assignment_value(cost: Sequence[Sequence[int]]) -> int:
-    """The optimal total of an integer cost matrix with at most as many rows
-    as columns; a single row needs no solve."""
-    if len(cost) == 1:
-        return min(cost[0])
-    return _min_cost_assignment(cost)[0]
-
-
 def _add_axis(rows, blues, reds, a: int, shift, metric: Metric) -> list[list]:
     """``rows`` with |b_a + shift - r_a| added (L1) or maxed in (Linf).
 
@@ -293,8 +279,8 @@ def _cost_matrix(blues, reds, metric: Metric, tau=None) -> list[list]:
 def _lex_min_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     """Optimal total and the lexicographically smallest optimal assignment.
 
-    One warm-started plain solve gives the total, an optimal assignment
-    a and the column potentials v; row i's potential is
+    One plain solve gives the total, an optimal assignment a and the
+    column potentials v; row i's potential is
     c[i][a_i] - v[a_i], and an edge is tight when c[i][j] - v[j] equals
     it.  The optimal assignments are exactly the matchings of every row
     on tight edges that cover each column with v < 0.  A free column is
@@ -311,7 +297,7 @@ def _lex_min_assignment(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     again for the same row, and one row costs at most one search of the
     tight edges: O(m^2 n) for the pass on top of the solve.
     """
-    total, a, v = _min_cost_assignment(cost, warm=True)
+    total, a, v = _min_cost_assignment(cost)
     m, n = len(a), len(v)
     held = [-1] * n  # column -> row, -1 = free
     for i, j in enumerate(a):

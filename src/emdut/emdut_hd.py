@@ -56,7 +56,6 @@ from operator import add, sub
 
 from .core import Metric, Point, PointSet, _check_metric, _int_str, point, zero_point
 from .emd import (
-    _assignment_value,
     _cost_matrix,
     _frame,
     _lex_min_assignment,
@@ -319,7 +318,7 @@ def emd_value_at(blue: PointSet, red: PointSet, metric: Metric, tau) -> Fraction
     if len(tau) != blue.dim:
         raise ValueError(f"translation has {len(tau)} coordinates, expected {blue.dim}")
     bs, rs, (t,), den = _frame(blue, red, tau)
-    return Fraction(_assignment_value(_cost_matrix(bs, rs, metric, t)), den)
+    return Fraction(_min_cost_assignment(_cost_matrix(bs, rs, metric, t))[0], den)
 
 
 def emdut_hd(
@@ -351,7 +350,7 @@ def emdut_hd(
         # the smallest (frame cost, frame tau), the key the grid walk compares;
         # den > 0, so it is the smallest optimal tau in the original frame too.
         # The vertices are distinct, so the cost matrices are never compared.
-        _, tau, cost = min((_assignment_value(c := _cost_matrix(bs, rs, metric, t)), t, c)
+        _, tau, cost = min((_min_cost_assignment(c := _cost_matrix(bs, rs, metric, t))[0], t, c)
                            for t in vertices)
     best_tau = tuple(Fraction(c, den) for c in tau)
     # frame costs are den times the metric's: same witness, value total/den

@@ -107,7 +107,7 @@ def rotate_45_to_l1(ps: PointSet) -> PointSet:
     return PointSet(
         2,
         tuple(
-            ((p[0] + p[1]) / 2, (p[0] - p[1]) / 2) for p in ps.points
+            (Fraction(p[0] + p[1], 2), Fraction(p[0] - p[1], 2)) for p in ps.points
         ),
     )
 

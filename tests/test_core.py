@@ -116,6 +116,18 @@ def test_lp_distance_examples(a, b, metric, expected):
     assert lp_distance(point(a), point(b), metric) == expected
 
 
+def test_lp_distance_is_an_exact_fraction_under_both_metrics():
+    # Linf used to return the int max of int coordinates, and a float
+    # coordinate passed through as a float distance
+    for metric, expected in ((Metric.L1, 3), (Metric.LINF, 2)):
+        got = lp_distance((0, 0), (1, 2), metric)
+        assert type(got) is F and got == expected
+    assert type(lp_distance((), (), Metric.LINF)) is F
+    for a, b in (((0.5,), (1,)), ((1,), (0.5,))):
+        with pytest.raises(TypeError, match="float"):
+            lp_distance(a, b, Metric.L1)
+
+
 def test_lp_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         lp_distance(point([1]), point([1, 2]), Metric.L1)

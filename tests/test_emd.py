@@ -229,13 +229,22 @@ def test_hungarian_witness_weights_beyond_float_range():
 
 
 def _textbook_assignment(cost):
-    # shortest augmenting paths that shift every potential and tentative
-    # distance after each step: the reference the one-pass update must match
+    # the row-minimum start, then shortest augmenting paths that shift every
+    # potential and tentative distance after each step: the reference the
+    # one-pass update must match
     m, n = len(cost), len(cost[0])
     inf = float("inf")
     u, v = [0] * (m + 1), [0] * (n + 1)
     match_row, way = [0] * (n + 1), [0] * (n + 1)
+    left = []
     for i in range(1, m + 1):
+        u[i] = min(cost[i - 1])
+        j = cost[i - 1].index(u[i]) + 1
+        if match_row[j]:
+            left.append(i)
+        else:
+            match_row[j] = i
+    for i in left:
         match_row[0], j0 = i, 0
         minv, used = [inf] * (n + 1), [False] * (n + 1)
         while True:
@@ -280,7 +289,7 @@ def test_hungarian_returns_the_textbook_triple():
 
 
 def test_tight_pass_gives_the_witness_of_the_perturbed_solve():
-    # the witness solver walks the tight edges of one warm-started solve;
+    # the witness solver walks the tight edges of one plain solve;
     # the reference solves once on costs perturbed by the assignment read
     # as a base-n number.  Entries in {0..3} tie everywhere, square
     # all-equal and 0/1 matrices give each row many optimal columns, and
@@ -303,7 +312,7 @@ def test_tight_pass_gives_the_witness_of_the_perturbed_solve():
     for cost in matrices:
         total, assignment = _lex_min_assignment(cost)
         assert (total, assignment) == perturbed_lex_min_assignment(cost)
-        rerouted += assignment != _min_cost_assignment(cost, warm=True)[1]
+        rerouted += assignment != _min_cost_assignment(cost)[1]
     assert rerouted > 900  # 1026 of them: the pass moves rows, not only confirms them
 
 
@@ -319,17 +328,41 @@ def _certify(cost, total, assignment, v):
     assert sum(u) + sum(v) == total == sum(row[j] for row, j in zip(cost, assignment))
 
 
-def test_potentials_certify_the_optimum_of_cold_and_warm_solves():
+def test_potentials_certify_the_optimum_of_every_solve():
+    # the total is also held to the perturbed solve, which reaches it on
+    # other costs and so along other augmenting paths
     rng = random.Random(34)
     for k in range(1500):
         m = rng.randint(1, 12)
         n = rng.randint(m, 16)
         hi = (0, 1, 3, 100, 10**20)[k % 5]  # three in five are tie-heavy
         cost = [[rng.randint(0, hi) for _ in range(n)] for _ in range(m)]
-        cold, warm = _min_cost_assignment(cost), _min_cost_assignment(cost, warm=True)
-        _certify(cost, *cold)
-        _certify(cost, *warm)
-        assert cold[0] == warm[0]
+        solved = _min_cost_assignment(cost)
+        _certify(cost, *solved)
+        assert solved[0] == perturbed_lex_min_assignment(cost)[0]
+
+
+def test_potentials_certify_the_optimum_at_scale():
+    # shapes past the brute force and the reference tests: single rows,
+    # which the row-minimum start answers with no search, the witness shape
+    # of the solve benchmark, wide random matrices and square ties
+    rng = random.Random(35)
+    matrices = [[[rng.randint(0, hi) for _ in range(n)]]
+                for n in range(1, 31) for hi in (0, 1, 10**6)]
+    for k in range(8):
+        lim = (3, 1000)[k % 4 // 2]
+        blues, reds = ([[rng.randint(-lim, lim) for _ in range(2)] for _ in range(count)]
+                       for count in (16, 24))
+        matrices.append(_cost_matrix(blues, reds, (Metric.L1, Metric.LINF)[k % 2]))
+    for hi in (3, 10**6):
+        matrices.append([[rng.randint(0, hi) for _ in range(80)] for _ in range(60)])
+    matrices.append([[5] * 60 for _ in range(60)])
+    matrices.append([[rng.randint(0, 1) for _ in range(90)] for _ in range(40)])
+    for cost in matrices:
+        total, assignment, v = _min_cost_assignment(cost)
+        _certify(cost, total, assignment, v)
+        if len(cost) == 1:  # the start alone: the first column of least cost
+            assert (total, assignment) == (min(cost[0]), [cost[0].index(total)])
 
 
 def _one_pass_bound(cost, v):

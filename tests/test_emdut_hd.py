@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from emdut.core import Metric, matching_cost, point_set, point_set_1d
+from emdut.core import Metric, PointSet, matching_cost, point_set, point_set_1d
 from emdut.emd import emd_bruteforce, emd_hungarian
 from emdut.emdut_hd import BudgetExceeded, candidate_translations, emd_value_at, emdut_hd
 from emdut.hardness import Graph, clique_instance_value, clique_linf_sym, decomposed_value
@@ -356,16 +356,22 @@ def test_distance_table_cache_keeps_to_its_cap(monkeypatch):
 def test_rotation_examples():
     rot = rotate_45_to_l1(point_set(2, [(0, 0), (2, 0)]))
     assert rot.points == ((F(0), F(0)), (F(1), F(1)))
+    # int coordinates, as a set built without point() holds them, halve exactly
+    rot = rotate_45_to_l1(PointSet(2, [(0, 0), (1, 1), (3, -2)]))
+    assert rot.points == ((0, 0), (1, 0), (F(1, 2), F(5, 2)))
+    assert all(type(c) is F for p in rot.points for c in p)
     with pytest.raises(ValueError):
         rotate_45_to_l1(point_set_1d([1]))
 
 
 def test_rotation_turns_linf_into_l1():
     rng = random.Random(24)
+    pairs = [(PointSet(2, [(0, 0), (1, 1)]), PointSet(2, [(2, 3), (-1, 4), (0, 1)]))]
     for _ in range(40):
         m = rng.randint(1, 3)
         n = rng.randint(m, 4)
-        B, R = rand_points(rng, m, 2), rand_points(rng, n, 2)
+        pairs.append((rand_points(rng, m, 2), rand_points(rng, n, 2)))
+    for B, R in pairs:
         v_inf = emdut_hd(B, R, Metric.LINF)[0]
         v_rot = emdut_hd(rotate_45_to_l1(B), rotate_45_to_l1(R), Metric.L1)[0]
         assert v_inf == v_rot

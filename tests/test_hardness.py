@@ -502,7 +502,7 @@ def test_decomposed_value_solves_each_chunk_before_drawing_the_next(monkeypatch)
     assert whole == gi.lam
     monkeypatch.setattr(hardness, "_CANDIDATE_CHUNK", 3)
     drawn, first_solve = [], []
-    real = hardness._assignment_value
+    real = hardness._min_cost_assignment
 
     def spy(cost):
         if not first_solve:
@@ -514,7 +514,7 @@ def test_decomposed_value_solves_each_chunk_before_drawing_the_next(monkeypatch)
             drawn.append(tau)
             yield tau
 
-    monkeypatch.setattr(hardness, "_assignment_value", spy)
+    monkeypatch.setattr(hardness, "_min_cost_assignment", spy)
     assert decomposed_value(gi.parts, Metric.LINF, counted(family)) == whole
     assert first_solve == [3] and len(drawn) == len(family) == 32
     # a bad candidate in a later chunk is named by its index in the family
