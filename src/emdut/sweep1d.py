@@ -11,11 +11,12 @@ consecutive blues matched to consecutive reds) and the linear piece of
 the cost function.  Each blue keeps its switch piece, the line in tau of
 the cost change if it moved on to its next red.  A run is only its blue
 range; its suffix-cost envelope lines are the suffix sums of its pieces,
-computed when its root is queried and never stored, and a move computes
-pieces only for the blues it moves.  Two event kinds drive the sweep:
-alignment events (a blue meets a red, changing one slope and one piece)
-and reassignment events (a run suffix shifts to the next reds, triggered
-by a root of the run's envelope).  Alignments at one time only mark
+computed when its root is queried and never stored.  A move shifts the
+suffix in one pass, which reads the suffix's line off its old pieces
+and sets the new ones; no other blue's piece changes.  Two event kinds
+drive the sweep: alignment events (a blue meets a red, changing one
+slope and one piece) and reassignment events (a run suffix shifts to the
+next reds, triggered by a root of the run's envelope).  Alignments at one time only mark
 their runs, each run once, in an insertion-ordered record, and each
 marked run's root is queried once, in marking order, after the last of
 them; the cost is compared once per event time, as it is continuous,
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -102,14 +102,17 @@ def emdut_1d_alignment_oracle(blue: PointSet, red: PointSet) -> Fraction:
     return Fraction(min((_monotone_value(bs, rs, t) for t in offsets), default=0), den)
 
 
-@dataclass(eq=False)  # hashed by identity, as a key of _Sweep.marked
 class _Run:
-    rid: int
-    bs: int            # first blue (sorted order)
-    bt: int            # last blue; the run is live, so it can still move,
+    # hashed by identity, as a key of _Sweep.marked
+    __slots__ = ("rid", "bs", "bt", "epoch", "event")
+
+    def __init__(self, rid, bs, bt):
+        self.rid = rid
+        self.bs = bs   # first blue (sorted order)
+        self.bt = bt   # last blue; the run is live, so it can still move,
                        # while its red phi[bt] is not the last red
-    epoch: int = 0         # heap entries of older epochs are stale
-    event: object = None   # (p, q, blue) of the one live queued reassignment
+        self.epoch = 0      # heap entries of older epochs are stale
+        self.event = None   # (p, q, blue) of the one live queued reassignment
 
 
 class _Sweep:
@@ -122,8 +125,9 @@ class _Sweep:
     lines are the suffix sums of its pieces, tagged by blue; they are never
     stored, and the tree reference is built on them per root query.  Both
     root queries return what an envelope's ``root_piece`` returns, (p, q,
-    blue); a move reads the moved suffix's line off its pieces as it shifts
-    them.  Pieces are kept current for the blues of live runs only.
+    blue).  A move shifts the suffix in one pass, ``_shift``, which reads
+    the suffix's line off its old pieces and sets the new ones.  Pieces
+    are kept current for the blues of live runs only.
     """
 
     def __init__(self, bc, rc, root_query, check: bool):
@@ -137,39 +141,45 @@ class _Sweep:
         self.pa = [0] * self.m  # switch piece slopes
         self.pb = [0] * self.m  # switch piece intercepts
         self.root_query = root_query  # an entry of _ENVELOPES, called with self
-        self.blue_run = [None] * self.m  # blue j -> the _Run holding it
+        # blue j -> the _Run holding it; the identity matching is one run
+        self.blue_run = [_Run(0, 0, self.m - 1)] * self.m
+        self.next_rid = 1
         # runs whose pieces changed at the current alignment time, as keys in
         # the order they were first marked, the order they are rescheduled in
         self.marked = {}
-        self.next_rid = 0
-        self.fs = -self.m
-        self.fi = sum(rc[j] - bc[j] for j in range(self.m))
         self.align_events = 0  # every event is one of these or a move
         self.move_events = 0
         self.move_log: Optional[list] = [] if check else None
 
     # -- switch pieces and root queries -------------------------------------
 
-    def _set_pieces(self, lo, hi, floor_tau):
-        # the switch pieces of blues lo..hi between floor_tau and
-        # floor_tau + 1; a piece changes only at integer times, where x
-        # meets r or r', so floor(tau) selects it.  No blue here has the
-        # last red, so r' exists.
+    def _shift(self, lo, hi, step, floor_tau, live):
+        # move blues lo..hi on by step reds, in one pass; returns the sum of
+        # their old pieces and, when their run is live, sets the new ones
+        # between floor_tau and floor_tau + 1.  A piece changes only at
+        # integer times, where x meets r or r', so floor(tau) selects it;
+        # a live run's blues never hold the last red, so r' exists.
         phi, bc, rc, pa, pb = self.phi, self.bc, self.rc, self.pa, self.pb
+        line_a = line_b = 0
         for j in range(lo, hi + 1):
-            v = phi[j]
-            r, rp = rc[v], rc[v + 1]
-            b = bc[j]
-            x = b + floor_tau
-            if x < r:
-                pa[j] = 0
-                pb[j] = rp - r
-            elif x < rp:
-                pa[j] = -2
-                pb[j] = r + rp - 2 * b
-            else:
-                pa[j] = 0
-                pb[j] = r - rp
+            line_a += pa[j]
+            line_b += pb[j]
+            v = phi[j] + step
+            phi[j] = v
+            if live:
+                r, rp = rc[v], rc[v + 1]
+                b = bc[j]
+                x = b + floor_tau
+                if x < r:
+                    pa[j] = 0
+                    pb[j] = rp - r
+                elif x < rp:
+                    pa[j] = -2
+                    pb[j] = r + rp - 2 * b
+                else:
+                    pa[j] = 0
+                    pb[j] = r - rp
+        return line_a, line_b
 
     def _root_naive(self, bs, bt, p0, q0):
         # the envelopes' root rule on the run's lines, in one backward pass
@@ -208,19 +218,6 @@ class _Sweep:
             out.append((a, b, j))
         return out[::-1]
 
-    def _attach(self, run, lo, hi, p, q):
-        # blues lo..hi start a fresh run (run is None) or join the front of
-        # run; a live run, one whose last red phi[bt] is not the last red,
-        # gets their pieces and is rescheduled
-        if run is None:
-            run = _Run(self.next_rid, lo, hi)
-            self.next_rid += 1
-        run.bs = lo
-        self.blue_run[lo:hi + 1] = [run] * (hi - lo + 1)
-        if self.phi[run.bt] < self.n - 1:
-            self._set_pieces(lo, hi, p // q)
-            self._reschedule(run, p, q)
-
     def _reschedule(self, run: _Run, p, q):
         # queue the live run's next reassignment unless it is already queued
         got = self.root_query(self, run.bs, run.bt, p, q)
@@ -232,11 +229,6 @@ class _Sweep:
                 rp, rq = got[0], got[1]
                 heapq.heappush(self.heap, ((rp << self.shift) // rq, 1, run.rid,
                                            run.epoch, rp, rq, run))
-
-    def _reschedule_marked(self, t):
-        for run in self.marked:
-            self._reschedule(run, t, 1)
-        self.marked.clear()
 
     def _verify_runs(self, floor_tau):
         # check-mode only: each run matches its blues to consecutive reds, and
@@ -261,25 +253,11 @@ class _Sweep:
                     assert (self.pa[k], 2 * self.pb[k]) == (a, b2), (run.rid, k, a, b2)
             j = bt + 1
 
-    # -- event handlers -------------------------------------------------------
-
-    def _handle_alignment(self, j, v, w):
-        # blue j meets its own red w (its cost's slope gains 2) or the next
-        # red (its switch piece's slope flips sign); the main loop skips the
-        # later reds, which change nothing.  The run is only marked: it is
-        # rescheduled once, after every alignment at this time, and marking
-        # it again keeps its place in the marking order.
-        if v == w:
-            self.fs += 2
-            self.fi += 2 * (self.bc[j] - self.rc[v])
-        run = self.blue_run[j]
-        if self.phi[run.bt] < self.n - 1:
-            d = 2 if v == w else -2
-            self.pa[j] -= d
-            self.pb[j] += d * (self.rc[v] - self.bc[j])
-            self.marked[run] = None
+    # -- reassignment events ----------------------------------------------------
 
     def _handle_move(self, run: _Run, p, q):
+        # move the suffix of run from its event's blue on; returns the line
+        # the move adds to the cost, the sum of the suffix's old pieces
         rp, rq, j = run.event
         run.event = None
         bs, bt = run.bs, run.bt
@@ -288,7 +266,7 @@ class _Sweep:
             assert min(a * p + b * q for a, b, _ in self._range_lines(bs, bt)) == 0
             assert bs <= j <= bt
             self.move_log.append((bs, bt, j))
-        phi, rc, pa, pb = self.phi, self.rc, self.pa, self.pb
+        phi, rc, n = self.phi, self.rc, self.n
         # shrink the source run: its pieces j..bt leave its suffix sums, which
         # rebases the rest on line j; a run that moves whole is dropped, as
         # its one queued event was just consumed
@@ -300,57 +278,71 @@ class _Sweep:
         # (0, 0), so a fresh run would pop its whole-run move at this same
         # time; count those moves, then shift the suffix once for all
         nxt = self.blue_run[bt + 1] if bt + 1 < self.m else None
-        limit = phi[nxt.bs] if nxt is not None else self.n
+        limit = phi[nxt.bs] if nxt is not None else n
         first, top = phi[j] + 1, phi[bt] + 1  # the suffix's reds after the move
         r0 = rc[first]
         slid = 0
         while top + slid + 1 < limit and rc[top + slid + 1] == r0:
             slid += 1
-        if slid:
-            if self.check:
-                # a switch piece is (0, 0) exactly when a blue's red and the
-                # next one are equal, so each step's lines are all (0, 0)
-                assert all(x == r0 for x in rc[first:top + slid + 1])
-                self.move_log.extend([(j, bt, j)] * slid)
-            self.move_events += slid
-        # shift the suffix; its line, the sum of its pieces, is zero now and
-        # joins the cost, read before the pieces are set for the new reds
-        line_a = line_b = 0
-        for k in range(j, bt + 1):
-            phi[k] += 1 + slid
-            line_a += pa[k]
-            line_b += pb[k]
+        if slid and self.check:
+            # a switch piece is (0, 0) exactly when a blue's red and the
+            # next one are equal, so each step's lines are all (0, 0)
+            assert all(x == r0 for x in rc[first:top + slid + 1])
+            self.move_log.extend([(j, bt, j)] * slid)
+        self.move_events += 1 + slid
+        # the suffix merges with the next run when the red indices become
+        # consecutive, otherwise it starts a fresh run; the run is live while
+        # its last red is not the last red
+        top += slid
+        if nxt is not None and top + 1 == limit:
+            target = nxt
+            live = phi[nxt.bt] < n - 1
+        else:
+            target = _Run(self.next_rid, j, bt)
+            self.next_rid += 1
+            live = top < n - 1
+        # the suffix's line, the sum of its pieces, is zero now and joins the
+        # cost; only the moved blues get new pieces
+        line = self._shift(j, bt, 1 + slid, p // q, live)
         if self.check:
-            assert line_a * p + line_b * q == 0
-        self.fs += line_a
-        self.fi += line_b
-        # attach the moved suffix: merge with the next run when the red
-        # indices become consecutive, otherwise start a fresh run; either way
-        # only the moved blues get new pieces
-        self._attach(nxt if limit == phi[bt] + 1 else None, j, bt, p, q)
+            assert line[0] * p + line[1] * q == 0
+        target.bs = j
+        self.blue_run[j:bt + 1] = [target] * (bt - j + 1)
+        if live:
+            self._reschedule(target, p, q)
+        return line
 
     # -- main loop -------------------------------------------------------------
 
     def run(self, collect_pieces: bool):
         m, n, bc, rc = self.m, self.n, self.bc, self.rc
-        phi, shift, marked = self.phi, self.shift, self.marked
+        phi, pa, pb, blue_run = self.phi, self.pa, self.pb, self.blue_run
+        shift, marked, check = self.shift, self.marked, self.check
+        reschedule, handle_move = self._reschedule, self._handle_move
+        # read from the module here, so a stand-in for heapq sees every call
+        heappush, heappop = heapq.heappush, heapq.heappop
         # entries (key, kind, blue or rid, red or epoch, p, q, run); each
         # blue's first alignment is with its own red
         self.heap = heap = []
         for j in range(m):
             t = rc[j] - bc[j]
-            heapq.heappush(heap, (t << shift, 0, j, j, t, 1, None))
+            heappush(heap, (t << shift, 0, j, j, t, 1, None))
         # the identity matching holds up to the first alignment; the first
-        # piece starts where the last blue meets red 0, or at an earlier event
+        # piece starts where the last blue meets red 0, or at an earlier event.
+        # Its run is live unless m = n; a live run gets its pieces and its root.
         t = rc[0] - bc[m - 1]
-        self._attach(None, 0, m - 1, t - 1, 1)
+        if n > m:
+            self._shift(0, m - 1, 0, t - 1, True)
+            reschedule(blue_run[0], t - 1, 1)
         prev_key, prev_p, prev_q = min((t << shift, t, 1), (heap[0][0], *heap[0][4:6]))
 
         # the cost fs*tau + fi is continuous, so it is compared once per event
         # time, before that time's first event, as num/q by cross-
         # multiplication; the best matching is copied only before the
         # matching next changes, or at the end
-        best_num, best_p, best_q = self.fs * prev_p + self.fi * prev_q, prev_p, prev_q
+        fs, fi = -m, sum(rc[j] - bc[j] for j in range(m))
+        align = 0
+        best_num, best_p, best_q = fs * prev_p + fi * prev_q, prev_p, prev_q
         best_phi, copy_due = None, True
         pieces = [] if collect_pieces else None
         key = p = None
@@ -358,42 +350,58 @@ class _Sweep:
             # alignments at one time only mark their runs; each marked run is
             # rescheduled once, before the first entry that is not one of them
             if marked and (not heap or heap[0][0] != key or heap[0][1]):
-                self._reschedule_marked(p)
+                for marked_run in marked:
+                    reschedule(marked_run, p, 1)
+                marked.clear()
             if not heap:
                 break
-            key, kind, x, y, p, q, run = heapq.heappop(heap)
+            key, kind, x, y, p, q, run = heappop(heap)
             if kind == 0:
                 w = phi[x]
                 if y < w:  # a no-op behind x's red, like all up to red w
                     t = rc[w] - bc[x]
-                    heapq.heappush(heap, (t << shift, 0, x, w, t, 1, None))
+                    heappush(heap, (t << shift, 0, x, w, t, 1, None))
                     continue
             elif run.epoch != y:
                 continue  # stale: the run was rescheduled since
             if key != prev_key:
                 if pieces is not None:
-                    pieces.append((prev_p, prev_q, p, q, self.fs, self.fi))
-                if self.check:
+                    pieces.append((prev_p, prev_q, p, q, fs, fi))
+                if check:
                     self._verify_runs((prev_p * q + p * prev_q) // (2 * prev_q * q))
                 prev_key, prev_p, prev_q = key, p, q
-                num = self.fs * p + self.fi * q
+                num = fs * p + fi * q
                 if num * best_q < best_num * q:
                     best_num, best_q, best_p = num, q, p
                     copy_due = True
             if kind == 0:
-                self.align_events += 1
+                align += 1
+                # blue x meets its own red w (its cost's slope gains 2) or the
+                # next red (its switch piece's slope flips sign); later reds
+                # change nothing.  The run is only marked: marking it again
+                # keeps its place in the marking order.
                 if y <= w + 1:
-                    self._handle_alignment(x, y, w)
+                    if y == w:
+                        fs += 2
+                        fi += 2 * (bc[x] - rc[w])
+                    run = blue_run[x]
+                    if phi[run.bt] < n - 1:
+                        d = 2 if y == w else -2
+                        pa[x] -= d
+                        pb[x] += d * (rc[y] - bc[x])
+                        marked[run] = None
                 if y + 1 < n:
                     t = rc[y + 1] - bc[x]
-                    heapq.heappush(heap, (t << shift, 0, x, y + 1, t, 1, None))
+                    heappush(heap, (t << shift, 0, x, y + 1, t, 1, None))
             else:
                 if copy_due:
                     best_phi, copy_due = phi[:], False
-                self.move_events += 1
-                self._handle_move(run, p, q)
+                line_a, line_b = handle_move(run, p, q)
+                fs += line_a
+                fi += line_b
         if copy_due:
             best_phi = phi[:]
+        self.align_events = align
         return best_num, best_p, best_q, best_phi, pieces
 
 
@@ -416,12 +424,16 @@ def emdut_1d_sweep(
     """Exact minimum 1D EMD over all translations, |B| <= |R|.
 
     Returns (value, tau, matching) where tau is the smallest optimal
-    translation; with ``return_stats=True`` a :class:`SweepStats` is
-    appended.  ``envelope`` picks how run roots are found: ``naive`` scans
-    the run's switch pieces, ``tree`` builds a :class:`TreeEnvelope` on
-    the run's lines for each query, as a reference.  Both give the same
-    return, event log included.  ``check`` enables internal invariant
-    assertions.
+    translation and matching is *an* optimal monotone matching at tau; on
+    repeated red coordinates it can take a later copy than the
+    lexicographically smallest witness that ``emd_hungarian`` and
+    ``emdut_hd`` return (B = {0, 3}, R = {5, 5, 1}: (2, 1) here, (2, 0)
+    there, both of cost 1 at tau = 1).  With ``return_stats=True`` a
+    :class:`SweepStats` is appended.  ``envelope`` picks how run roots are
+    found: ``naive`` scans the run's switch pieces, ``tree`` builds a
+    :class:`TreeEnvelope` on the run's lines for each query, as a
+    reference.  Both give the same return, event log included.  ``check``
+    enables internal invariant assertions.
     """
     if envelope not in _ENVELOPES:
         raise ValueError(

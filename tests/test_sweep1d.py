@@ -1,5 +1,6 @@
 import hashlib
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -286,6 +287,41 @@ def test_check_mode_holds_on_ov_instances_and_skips_lagging_alignments(monkeypat
         cost = sum(abs(gi.blue.points[j][0] + tau - gi.red.points[phi[j]][0])
                    for j in range(m))
         assert cost == value == emd_1d_monotone(gi.blue.translate((tau,)), gi.red)[0]
+
+
+def test_heap_traffic_goes_through_the_heapq_module(monkeypatch):
+    # a stand-in module that has only heappush and heappop, as the
+    # benchmark's tracer installs, must see every heap operation: the sweep
+    # may neither bind them at import nor call any other heapq function
+    unpatched = {}
+    rng = random.Random(1701)
+    B, R = rand_ints_1d(rng, 65, 0, 1300), rand_ints_1d(rng, 130, 0, 1300)
+    gi = ov_reduction(_ov_instance(1703, 0.5))
+    sets = (("asym", B, R), ("ov", gi.blue, gi.red))
+    for name, blue, red in sets:
+        for kind in ("naive", "tree"):
+            unpatched[name, kind] = emdut_1d_sweep(blue, red, envelope=kind,
+                                                   return_stats=True)
+    counts = {"push": 0, "pop": 0}
+    heap = sweep1d.heapq
+
+    def heappush(h, item):
+        counts["push"] += 1
+        heap.heappush(h, item)
+
+    def heappop(h):
+        counts["pop"] += 1
+        return heap.heappop(h)
+
+    monkeypatch.setattr(sweep1d, "heapq",
+                        types.SimpleNamespace(heappush=heappush, heappop=heappop))
+    for name, blue, red in sets:
+        for kind in ("naive", "tree"):
+            counts["push"] = counts["pop"] = 0
+            out = emdut_1d_sweep(blue, red, envelope=kind, return_stats=True)
+            assert out == unpatched[name, kind], (name, kind)
+            assert counts["push"] == counts["pop"] > 0, (name, kind, counts)
+            assert counts["pop"] >= out[3].alignment_events, (name, kind, counts)
 
 
 def test_sweep_reports_smallest_optimal_translation():
