@@ -115,6 +115,9 @@ def _parse_vectors(text: str) -> tuple:
                 raise ValueError
         except ValueError:
             raise ValueError(f"line {line_no}: expected 0/1 entries")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"line {line_no}: expected {len(rows[0])} entries, got {len(row)}")
         rows.append(row)
     if not rows:
         raise ValueError("no vectors")
@@ -138,6 +141,10 @@ def _parse_graph(text: str) -> Graph:
 def _cmd_gen(args) -> int:
     if args.family == "ov":
         xs, ys = (_read(path, _parse_vectors) for path in args.vectors)
+        if len(xs[0]) != len(ys[0]):
+            x_path, y_path = args.vectors
+            raise ValueError(f"{y_path}: vectors of dimension {len(ys[0])}, "
+                             f"but {x_path} has dimension {len(xs[0])}")
         gi = ov_reduction(OVInstance(xs, ys))
     else:
         graph = _read(args.graph, _parse_graph)

@@ -1,12 +1,13 @@
 """Exact geometric primitives: rational scalars, point sets, matchings, metrics.
 
 Every quantity is exact: an int or a ``fractions.Fraction``.  A point set
-read from text holds its points on their integer frame, ints that are
-the points times the lcm of their denominators, and the solvers read
-that frame as is; its ``points``, and every value a solver returns, are
-Fractions.  The solver path never touches floating point: the sweep and
-arrangement algorithms compare event coordinates for equality, and
-epsilon logic would corrupt their ordering.
+never changes once built.  It has one integer form, ints that are the
+points times the lcm of their denominators: a set read from text holds
+only that form, and the solvers read it as is; its ``points``, built on
+each read, and every value a solver returns, are Fractions.  The solver
+path never touches floating point: the sweep and arrangement algorithms
+compare event coordinates for equality, and epsilon logic would corrupt
+their ordering.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 # A plain ASCII integer token of at most 640 digits, the smallest int-to-str
 # limit CPython allows, so ``int`` reads it whatever that limit is set to.
 _PLAIN_INT = re.compile(r"[-+]?[0-9]{1,640}")
+# A plain "p" or "p/q" of ASCII digits, of any length: read in chunks by
+# ``_str_int``, since ``Fraction`` stops at the int-to-str limit.
+_PLAIN_RATIO = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
 
 
 class Metric(Enum):
@@ -77,8 +81,9 @@ def scalar(value) -> Fraction:
     ``isinstance`` check walks the numbers ABCs for anything else, last.
     A string that is a plain ASCII integer of at most 640 digits, the
     common input, is read by ``int`` directly, to the value ``Fraction``
-    would give at a few times the cost; every other string goes through
-    ``Fraction``.
+    would give at a few times the cost.  A longer plain "p" or "p/q" is
+    read by :func:`_str_int`, also past the int-to-str limit; every other
+    string goes through ``Fraction``.
     """
     if isinstance(value, int):
         return Fraction(value)
@@ -87,6 +92,12 @@ def scalar(value) -> Fraction:
             return Fraction(int(value))
         if len(value) > _MAX_LITERAL:
             raise ValueError(f"literal longer than {_MAX_LITERAL} characters")
+        plain = _PLAIN_RATIO.fullmatch(value)
+        if plain:
+            sign, p, q = plain.groups()
+            num, den = _str_int(p), _str_int(q or "1")
+            if den:  # "p/0" fails in ``Fraction`` below, as every bad literal
+                return Fraction(-num if sign == "-" else num, den)
         exp = _EXPONENT.search(value)
         if exp:
             digits = exp.group(1).replace("_", "").lstrip("0")
@@ -110,14 +121,17 @@ def point(coords: Iterable) -> Point:
     return tuple(scalar(c) for c in coords)
 
 
-def _as_int_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+def _as_int_matrix(rows: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(integer rows, den) with rows == integer rows / den exactly.
 
     Rows are the coordinates of points or translations; the distances of
-    scaled rows are the true distances times ``den``.
+    scaled rows are the true distances times ``den``.  ``den`` is the lcm
+    of the reduced denominators, so the pair is the one integer form of
+    the rows, and it comes as tuples, the form a parsed set holds.
     """
     den = math.lcm(*{x.denominator for row in rows for x in row})
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+    return tuple(tuple([x.numerator * (den // x.denominator) for x in row])
+                 for row in rows), den
 
 
 class PointSet:
@@ -126,15 +140,15 @@ class PointSet:
     Order is significant: the index of a point is its identity, and
     duplicates are permitted (ties are broken by index downstream).
 
-    A set built from points holds them as given, each coordinate an int
-    or a ``Fraction``, and ``frame`` is None: each solve frames it anew,
-    so a long-lived set never keeps a second, integer copy.  A set read
-    by :func:`parse_point_set` holds only ``frame = (ints, den)``: int
-    tuples that are the points times ``den``, the lcm of their
-    denominators.  Its ``points``, the Fraction view, is built on first
-    use and kept, one tuple per distinct point.  Equality and hashing
-    never keep it: two framed sets compare their frames, and otherwise a
-    framed set's view is built for the one call.
+    A set holds one copy of its numbers and never changes.  A set built
+    from points holds them, each row copied to a tuple and each
+    coordinate an int or a ``Fraction``, and ``frame`` is None.  A set
+    read by :func:`parse_point_set` holds only ``frame = (ints, den)``:
+    int tuples that are the points times ``den``, the lcm of their
+    reduced denominators; its ``points`` are built from the frame on
+    each read and never kept.  :meth:`_ints` is that integer form for
+    every set, the frame held or one computed and not kept; equality,
+    hashing and the solvers' frame all read it.
     """
 
     __slots__ = ("_dim", "_frame", "_points")
@@ -144,7 +158,7 @@ class PointSet:
     def __init__(self, dim: int, points: Sequence[Point]):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        points = tuple(points)
+        points = tuple(map(tuple, points))  # a tuple row is kept as is
         if not {*map(len, points)} <= {dim}:
             i, p = next((i, p) for i, p in enumerate(points) if len(p) != dim)
             raise ValueError(f"point {i} has {len(p)} coordinates, expected {dim}")
@@ -163,31 +177,25 @@ class PointSet:
         ps._dim, ps._frame, ps._points = dim, frame, points
         return ps
 
-    def _view(self) -> tuple[Point, ...]:
-        """The points, kept or built from the frame without keeping them."""
-        if self._points is not None:
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(ints, den): the frame held, or :func:`_as_int_matrix` of the points."""
+        return self._frame or _as_int_matrix(self._points)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._frame is None:
             return self._points
         ints, den = self._frame
         view = {p: tuple(Fraction(x, den) for x in p) for p in dict.fromkeys(ints)}
         return tuple(map(view.__getitem__, ints))
 
-    @property
-    def points(self) -> tuple[Point, ...]:
-        if self._points is None:
-            self._points = self._view()
-        return self._points
-
     def __eq__(self, other):
-        # the parser's den is the lcm of the reduced denominators, so two
-        # sets that both hold frames are equal exactly when the frames are
         if not isinstance(other, PointSet):
             return False
-        if self._frame is not None and other._frame is not None:
-            return (self._dim, self._frame) == (other._dim, other._frame)
-        return (self._dim, self._view()) == (other._dim, other._view())
+        return (self._dim, self._ints()) == (other._dim, other._ints())
 
     def __hash__(self) -> int:
-        return hash((self._dim, self._view()))
+        return hash((self._dim, self._ints()))
 
     def __repr__(self) -> str:
         return f"PointSet(dim={self.dim!r}, points={self.points!r})"
@@ -256,7 +264,8 @@ def matching_cost(
         raise ValueError("blue and red dimension mismatch")
     moved = blue.translate(tau)
     validate_matching(phi, len(blue), len(red))
-    return sum((lp_distance(b, red.points[r], metric) for b, r in zip(moved, phi)),
+    reds = red.points
+    return sum((lp_distance(b, reds[r], metric) for b, r in zip(moved, phi)),
                Fraction(0))
 
 
@@ -271,6 +280,14 @@ def _int_str(n: int) -> str:
     k = n.bit_length() * 3 // 20  # about half the digits, so hi >= 1
     hi, lo = divmod(abs(n), 10**k)
     return "-" * (n < 0) + _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _str_int(digits: str) -> int:
+    """The int of a string of ASCII digits, the inverse of :func:`_int_str`."""
+    if len(digits) <= 640:  # CPython's smallest int-to-str limit
+        return int(digits)
+    k = len(digits) // 2
+    return _str_int(digits[:-k]) * 10**k + _str_int(digits[-k:])
 
 
 def format_scalar(x: Fraction) -> str:
@@ -344,7 +361,7 @@ def parse_point_set(text: str) -> PointSet:
     if not exact:  # every distinct line onto one frame, shared as before
         distinct = list(seen.values())
         scaled, den = _as_int_matrix(distinct)
-        frame = dict(zip(map(id, distinct), map(tuple, scaled)))
+        frame = dict(zip(map(id, distinct), scaled))
         ints = tuple(frame[id(p)] for p in rows)
     return PointSet._unchecked(dim, frame=(ints, den))
 

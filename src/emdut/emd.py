@@ -21,13 +21,14 @@ modules, shares three helpers.  :func:`_pair_sizes` is the one
 contract: both sets have one dimension (1 for the 1D routines) and
 |B| <= |R|.  :func:`_frame` is the one frame: each solve puts its
 points, with any translations, on the lcm of their denominators, so
-every DP row and every cost matrix is built from ints.  A set read from
-text already holds its integer frame, and a set built from Fractions,
-or a translation, is framed by :func:`_as_int_matrix`, the one place
-rationals become integers; a block is rescaled only when its
-denominator differs from the lcm, which for integer inputs it never
-does.  :func:`_min_cost_assignment` is the one solve of an integer
-cost matrix, started from the row minima for every caller.
+every DP row and every cost matrix is built from ints.  Each set gives
+its one integer form, ``PointSet._ints``: a set read from text holds
+it, and a set built from Fractions, like a translation, is framed by
+:func:`_as_int_matrix`, the one place rationals become integers.  A
+block is rescaled only when its denominator differs from the lcm,
+which for integer inputs it never does.  :func:`_min_cost_assignment`
+is the one solve of an integer cost matrix, started from the row
+minima for every caller.
 
 Every cost matrix comes from :func:`_cost_matrix`, a fold over the axes
 of :func:`_add_axis`, which adds one axis's distances to the rows (L1)
@@ -76,13 +77,12 @@ def _frame(blue: PointSet, red: PointSet, *extra):
     """(bs, rs, extra, den): the points and ``extra`` rows on one integer frame.
 
     Each block, the blues, the reds and the extra rows (translations),
-    comes on its own frame: the one a set holds, or else
-    :func:`_as_int_matrix` of its points or rows.  ``den`` is the lcm of
-    the three, and a block whose own denominator differs is scaled up to
-    it, so frame distances are the true ones times ``den``.
+    comes on its own frame: a set's integer form, ``PointSet._ints``, and
+    :func:`_as_int_matrix` of the rows.  ``den`` is the lcm of the three,
+    and a block whose own denominator differs is scaled up to it, so
+    frame distances are the true ones times ``den``.
     """
-    blocks = [ps.frame or _as_int_matrix(ps.points) for ps in (blue, red)]
-    blocks.append(_as_int_matrix(extra))
+    blocks = [blue._ints(), red._ints(), _as_int_matrix(extra)]
     den = math.lcm(*(d for _, d in blocks))
     return (*(ints if d == den else [[x * (den // d) for x in row] for row in ints]
               for ints, d in blocks), den)

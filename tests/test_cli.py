@@ -466,6 +466,9 @@ _READER_FAILURES = {
     "non-0/1 vector": (["gen", "ov", "--vectors", "{vectors}", "{bad}"], b"1 0\n0 b\n"),
     "non-binary integer": (["gen", "ov", "--vectors", "{bad}", "{vectors}"], b"1 0\n-1 1\n"),
     "empty vector file": (["gen", "ov", "--vectors", "{bad}", "{vectors}"], b"\r\n \n"),
+    "ragged vector file": (["gen", "ov", "--vectors", "{bad}", "{vectors}"], b"1 0\n1\n"),
+    "vector dimensions differ": (["gen", "ov", "--vectors", "{vectors}", "{bad}"],
+                                 b"1 0 1\n0 1 1\n"),
     "empty graph": (["gen", "clique", "--graph", "{bad}"], b"\n\t\n"),
     "malformed graph": (["gen", "clique", "--graph", "{bad}"], b"3\n1 2 3\n"),
     "self-loop": (["gen", "clique", "--graph", "{bad}"], b"3\n1 2\n2 2\n"),
@@ -645,7 +648,7 @@ def test_every_solve_gen_and_error_output_is_pinned(capsys, monkeypatch, tmp_pat
     codes = [code for _, code, *_ in transcript]
     assert (codes.count(0), codes.count(1), codes.count(2)) == (31, 1, 19)
     digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
-    assert digest == "212e984b1177fb4d6a2bf67b3034b4811d58a5ead52c1a4221e84e13d2c58fda"
+    assert digest == "ebc636a6d6db7e31850cef6af5968ef5dea243e203a7914dcde95770de203eb7"
 
 
 def test_every_emd_and_1d_algorithm_answers_a_small_pair(capsys, tmp_path):

@@ -285,6 +285,55 @@ def test_equality_and_hashing_keep_no_fraction_view_of_a_parsed_set():
             assert not same or hash(pa) == hash(ps)
         assert pa._points is None and pb._points is None, (a, b)
     assert parse_point_set("1\n1/2\n3\n") != "1\n1/2\n3\n"
+    # no read of a parsed set keeps its view or replaces its frame
+    for text in texts:
+        ps = parse_point_set(text)
+        frame = ps.frame
+        for read in (lambda: ps.points, lambda: list(ps), lambda: repr(ps),
+                     lambda: serialize_point_set(ps),
+                     lambda: ps == ps.translate((0,) * ps.dim), lambda: hash(ps)):
+            read()
+            assert ps._points is None and ps.frame is frame, text
+
+
+def test_a_point_set_copies_the_rows_it_is_built_from():
+    # a set that kept the caller's lists changed its answer when they changed
+    rows = [[0], [3]]
+    B, R = PointSet(1, rows), point_set_1d([1, 5])
+    before = emd_hungarian(B, R, Metric.L1)
+    assert before[0] == 3
+    rows[0][0] = 100
+    rows.append([7])
+    assert B.points == ((0,), (3,)) and len(B) == 2
+    assert emd_hungarian(B, R, Metric.L1) == before
+    row = (1, F(1, 2))
+    assert PointSet(2, [row]).points[0] is row  # a tuple row is not copied
+
+
+def test_every_construction_of_one_set_is_equal_and_hashes_alike():
+    for dim, rows, text in ((1, [[1], [2]], "1\n1\n2\n"),
+                            (2, [[F(1, 2), 3], [2, F(-1, 3)], [F(1, 2), 3]],
+                             "2\n0.5 3\n2 -1/3\n1/2 3.0\n")):
+        copies = [PointSet(dim, rows), PointSet(dim, [tuple(r) for r in rows]),
+                  point_set(dim, rows), parse_point_set(text)]
+        for a, b in itertools.product(copies, repeat=2):
+            assert a == b and hash(a) == hash(b), (a, b)
+        assert len({*copies}) == 1
+    assert PointSet(1, [[1], [2]]) != PointSet(1, [[2], [1]]) != PointSet(2, [[1, 2]])
+
+
+def test_huge_plain_literals_read_back():
+    # ``Fraction`` stops at the int-to-str limit (4300 digits by default);
+    # a plain "p" or "p/q" within the literal bound reads in full
+    for x in (F(10**5000), -F(10**19000 + 1, 3)):
+        ps = point_set_1d([x, 1])
+        text = serialize_point_set(ps)
+        assert parse_point_set(text) == ps and parse_point_set(text).points[0][0] == x
+        assert scalar(format_scalar(x)) == x
+    assert scalar("-" + "0" * 9000 + "12/" + "0" * 9000 + "18") == F(-2, 3)
+    for text in ("1" * 5000 + "/0", "1" * 5000 + "/" + "0" * 5000):
+        with pytest.raises(ValueError, match="not an exact rational literal"):
+            scalar(text)
 
 
 def test_dimension_line_is_capped_at_10_to_the_5():
